@@ -591,46 +591,24 @@ static void BM_SceneGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_SceneGeneration)->Arg(128)->Arg(256);
 
-static void BM_RingAllreduce(benchmark::State& state) {
-  const int world_size = static_cast<int>(state.range(0));
-  const std::size_t count = 1 << 20;  // 4 MiB of gradients
-  for (auto _ : state) {
-    auto world = std::make_shared<ddp::World>(world_size);
-    std::vector<std::vector<float>> buffers(world_size);
-    for (auto& b : buffers) b.assign(count, 1.0f);
-    std::vector<std::jthread> threads;
-    for (int r = 0; r < world_size; ++r) {
-      threads.emplace_back([&, r] {
-        ddp::ThreadCommunicator comm(world, r);
-        comm.ring_allreduce_average(buffers[r].data(), count);
-      });
-    }
-    threads.clear();
-    benchmark::DoNotOptimize(buffers[0].data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(count) * 4 * world_size);
-}
-BENCHMARK(BM_RingAllreduce)->Arg(2)->Arg(4)->Arg(8);
-
 static void BM_TreeAllreduce(benchmark::State& state) {
-  // The canonical-order halving-doubling reduce the training fleet uses;
-  // compare against BM_RingAllreduce at the same world sizes.
+  // The canonical-tree reduce the training fleet uses (gather node sums
+  // to rank 0, fold, ring broadcast), one 4 MiB contribution per rank.
   const int world_size = static_cast<int>(state.range(0));
   const std::size_t count = 1 << 20;  // 4 MiB of gradients
   for (auto _ : state) {
     auto world = std::make_shared<ddp::World>(world_size);
-    std::vector<std::vector<float>> buffers(world_size);
-    for (auto& b : buffers) b.assign(count, 1.0f);
+    std::vector<std::vector<std::vector<float>>> leaves(world_size);
+    for (auto& l : leaves) l.emplace_back(count, 1.0f);
     std::vector<std::jthread> threads;
     for (int r = 0; r < world_size; ++r) {
       threads.emplace_back([&, r] {
         ddp::ThreadCommunicator comm(world, r);
-        comm.tree_allreduce_sum(buffers[r].data(), count);
+        comm.tree_allreduce_sum(leaves[r]);
       });
     }
     threads.clear();
-    benchmark::DoNotOptimize(buffers[0].data());
+    benchmark::DoNotOptimize(leaves[0][0].data());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(count) * 4 * world_size);

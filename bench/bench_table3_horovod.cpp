@@ -1,10 +1,11 @@
-// Table III — distributed U-Net training with the Horovod-style ring
-// allreduce, 1/2/4/6/8 devices.
+// Table III — synchronous data-parallel U-Net training, 1/2/4/6/8 devices.
 //
 // Prints (1) the calibrated DGX A100 simulation (paper-shape, deterministic)
 // and (2) measured wall times of the REAL data-parallel trainer on this
-// host (rank threads + ring allreduce; each rank's math is sequential, so
-// host speedups are real parallel speedups).
+// host (ddp::train_fleet: one rank thread per device, canonical-tree
+// gradient reduce; each rank's math is sequential, so host speedups are
+// real parallel speedups). Like the paper, the per-device batch is fixed,
+// so the global batch grows with the rank count.
 //
 //   --epochs=2 --tiles_scenes=2 --batch=4
 
@@ -13,7 +14,7 @@
 #include "core/corpus.h"
 #include "core/dataset_builder.h"
 #include "ddp/device_model.h"
-#include "ddp/distributed_trainer.h"
+#include "ddp/fleet_trainer.h"
 #include "support.h"
 
 using namespace polarice;
@@ -32,7 +33,7 @@ constexpr PaperRow kPaper[] = {{1, 280.72, 5.5, 585.88, 1.00},
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  bench::banner("Table III: distributed U-Net training (Horovod/ring)");
+  bench::banner("Table III: distributed U-Net training (Horovod-style)");
 
   // ---- 1. Calibrated DGX A100 simulation. ----
   std::printf("simulated DGX A100 (50 epochs, batch 32/device):\n");
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   }
   sim.print();
 
-  // ---- 2. Real ring-allreduce training on this host. ----
+  // ---- 2. Real fleet training on this host. ----
   core::CorpusConfig corpus_cfg;
   corpus_cfg.acquisition.num_scenes =
       static_cast<int>(args.get_int("tiles_scenes", 2));
@@ -61,30 +62,31 @@ int main(int argc, char** argv) {
   const auto data = core::build_dataset(tiles, core::LabelSource::kAuto,
                                         core::ImageVariant::kFiltered);
 
-  nn::UNetConfig model_cfg;
-  model_cfg.depth = 2;
-  model_cfg.base_channels = 6;
-  model_cfg.use_dropout = false;
+  ddp::FleetTrainConfig cfg;
+  cfg.model.depth = 2;
+  cfg.model.base_channels = 6;
+  cfg.model.use_dropout = false;
+  cfg.epochs = static_cast<int>(args.get_int("epochs", 2));
+  cfg.batch_per_device = static_cast<int>(args.get_int("batch", 4));
 
-  std::printf("\nmeasured on this host (%zu tiles of %dx%d, %d epochs, one "
-              "rank thread per simulated GPU):\n",
-              data.size(), data.width(), data.height(),
-              static_cast<int>(args.get_int("epochs", 2)));
+  std::printf("\nmeasured on this host (%zu tiles of %dx%d, %d epochs, batch "
+              "%d per rank, one rank thread per simulated GPU):\n",
+              data.size(), data.width(), data.height(), cfg.epochs,
+              cfg.batch_per_device);
   util::Table real({"ranks", "Time (s)", "Time/Epoch (s)", "Data/s",
                     "Speedup"});
   double t1 = 0.0;
   for (const auto& row : kPaper) {
-    nn::UNet model(model_cfg);
-    ddp::DistributedTrainConfig cfg;
     cfg.world_size = row.gpus;
-    cfg.epochs = static_cast<int>(args.get_int("epochs", 2));
-    cfg.batch_per_device = static_cast<int>(args.get_int("batch", 4));
-    const auto stats = ddp::train_distributed(model, data, cfg);
+    nn::UNet model(cfg.model);
+    const auto stats = ddp::train_fleet(model, data, cfg);
+    const double images =
+        static_cast<double>(stats.steps) * cfg.global_batch();
     if (row.gpus == 1) t1 = stats.total_s;
     real.add_row({std::to_string(row.gpus),
                   util::Table::num(stats.total_s, 2),
-                  util::Table::num(stats.epoch_s, 3),
-                  util::Table::num(stats.images_per_s, 1),
+                  util::Table::num(stats.total_s / cfg.epochs, 3),
+                  util::Table::num(images / stats.total_s, 1),
                   util::Table::num(t1 / stats.total_s, 2)});
   }
   real.print();

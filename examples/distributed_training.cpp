@@ -1,15 +1,18 @@
 // Horovod-style synchronous data-parallel training demo: trains the same
-// U-Net on 1, 2, and 4 simulated GPUs (rank threads + ring allreduce) and
-// prints measured speedups plus the calibrated DGX A100 projection.
+// U-Net with the fleet trainer (ddp::train_fleet, one rank thread per
+// simulated GPU) at 1, 2, 4 and 6 ranks over one fixed global batch, and
+// prints measured speedups, whether each run's parameters match the
+// single-rank run bit for bit, and the calibrated DGX A100 projection.
 //
-//   ./distributed_training [--scenes=4] [--epochs=3] [--max_ranks=4]
+//   ./distributed_training [--scenes=4] [--epochs=3] [--max_ranks=6]
 
 #include <cstdio>
+#include <vector>
 
 #include "core/corpus.h"
 #include "core/dataset_builder.h"
 #include "ddp/device_model.h"
-#include "ddp/distributed_trainer.h"
+#include "ddp/fleet_trainer.h"
 #include "par/context.h"
 #include "par/thread_pool.h"
 #include "util/args.h"
@@ -17,10 +20,21 @@
 
 using namespace polarice;
 
+namespace {
+std::vector<float> flat_params(nn::UNet& model) {
+  std::vector<float> out;
+  for (const auto& p : model.params()) {
+    out.insert(out.end(), p.value->data(), p.value->data() + p.value->numel());
+  }
+  return out;
+}
+}  // namespace
+
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const int epochs = static_cast<int>(args.get_int("epochs", 3));
-  const int max_ranks = static_cast<int>(args.get_int("max_ranks", 4));
+  const int max_ranks = static_cast<int>(args.get_int("max_ranks", 6));
+  constexpr int kGlobalBatch = 12;  // divisible by every rank count below
 
   core::CorpusConfig corpus_cfg;
   corpus_cfg.acquisition.num_scenes =
@@ -36,29 +50,38 @@ int main(int argc, char** argv) {
   std::printf("dataset: %zu tiles of %dx%d\n", data.size(), data.width(),
               data.height());
 
-  nn::UNetConfig model_cfg;
-  model_cfg.depth = 2;
-  model_cfg.base_channels = 6;
-  model_cfg.use_dropout = false;
+  ddp::FleetTrainConfig cfg;
+  cfg.model.depth = 2;
+  cfg.model.base_channels = 6;
+  cfg.model.use_dropout = false;  // the fleet's determinism contract
+  cfg.epochs = epochs;
 
   util::Table table({"ranks", "total (s)", "s/epoch", "img/s", "speedup",
-                     "final loss"});
+                     "final loss", "params == 1 rank"});
   double t1 = 0.0;
-  for (int ranks = 1; ranks <= max_ranks; ranks *= 2) {
-    nn::UNet model(model_cfg);
-    ddp::DistributedTrainConfig cfg;
+  std::vector<float> reference;
+  for (const int ranks : {1, 2, 4, 6}) {
+    if (ranks > max_ranks) break;
     cfg.world_size = ranks;
-    cfg.epochs = epochs;
-    cfg.batch_per_device = 4;
-    const auto stats = ddp::train_distributed(model, data, cfg, ctx);
-    if (ranks == 1) t1 = stats.total_s;
+    cfg.batch_per_device = kGlobalBatch / ranks;
+    nn::UNet model(cfg.model);
+    const auto stats = ddp::train_fleet(model, data, cfg);
+    const auto params = flat_params(model);
+    if (ranks == 1) {
+      t1 = stats.total_s;
+      reference = params;
+    }
+    const double images =
+        static_cast<double>(stats.steps) * cfg.global_batch();
     table.add_row({std::to_string(ranks), util::Table::num(stats.total_s, 2),
-                   util::Table::num(stats.epoch_s, 3),
-                   util::Table::num(stats.images_per_s, 1),
+                   util::Table::num(stats.total_s / epochs, 3),
+                   util::Table::num(images / stats.total_s, 1),
                    util::Table::num(t1 / stats.total_s, 2),
-                   util::Table::num(stats.epoch_loss.back(), 4)});
+                   util::Table::num(stats.final_loss, 4),
+                   params == reference ? "bitwise" : "DIFFERS"});
   }
-  std::printf("measured on this host (ring allreduce over rank threads):\n");
+  std::printf("measured on this host (fleet trainer over rank threads, "
+              "global batch %d):\n", kGlobalBatch);
   table.print();
 
   std::printf("\ncalibrated DGX A100 projection (paper Table III):\n");

@@ -77,6 +77,17 @@ struct MetricsResponse {
   std::string text;
 };
 
+/// Submit options: priority class, optional relative deadline, retry
+/// budget, trace id. The deadline travels as relative nanoseconds (applied
+/// against the worker's clock at admission) so router and worker need no
+/// shared epoch.
+void put_submit_options(net::WireWriter& writer, const SubmitOptions& options);
+[[nodiscard]] SubmitOptions get_submit_options(net::WireReader& reader);
+
+/// Full SceneServerStats snapshot — the heartbeat's cargo.
+void put_stats(net::WireWriter& writer, const SceneServerStats& stats);
+[[nodiscard]] SceneServerStats get_stats(net::WireReader& reader);
+
 [[nodiscard]] std::vector<std::uint8_t> encode(const SubmitRequest& request);
 [[nodiscard]] SubmitRequest decode_submit_request(
     const std::vector<std::uint8_t>& payload);

@@ -696,35 +696,10 @@ void ShardRouter::probe(Shard& shard) {
           << (heartbeat.brownout_active ? ", brownout active" : "");
     }
   } catch (const net::TransportError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
-    record_failure(shard);
-    schedule_reprobe(shard);
+    record_failure(shard, /*probe=*/true);
   } catch (const net::WireError&) {
-    {
-      const std::scoped_lock lock(shard.mutex);
-      ++shard.heartbeats_failed;
-    }
-    record_failure(shard);
-    schedule_reprobe(shard);
+    record_failure(shard, /*probe=*/true);
   }
-}
-
-void ShardRouter::schedule_reprobe(Shard& shard) {
-  // After record_failure() so the quarantine transition (if this probe
-  // tripped it) is already visible: a still-healthy shard keeps the plain
-  // heartbeat cadence; a quarantined one backs off exponentially.
-  const std::scoped_lock lock(shard.mutex);
-  if (shard.healthy) {
-    shard.redial_attempts = 0;
-    shard.next_probe_at = clock_->now() + config_.heartbeat_period;
-    return;
-  }
-  ++shard.redial_attempts;
-  shard.next_probe_at =
-      clock_->now() + redial_delay(shard, shard.redial_attempts);
 }
 
 bool ShardRouter::record_success(Shard& shard) {
@@ -744,7 +719,7 @@ bool ShardRouter::record_success(Shard& shard) {
   return recovered;
 }
 
-void ShardRouter::record_failure(Shard& shard) {
+void ShardRouter::record_failure(Shard& shard, bool probe) {
   bool quarantined = false;
   std::vector<net::Connection> stale;
   {
@@ -758,6 +733,19 @@ void ShardRouter::record_failure(Shard& shard) {
       // recovery dials fresh.
       stale.swap(shard.idle);
       shard.heartbeat.close();
+    }
+    if (probe) {
+      // After the quarantine decision above: a still-healthy shard keeps
+      // the plain heartbeat cadence; a quarantined one backs off.
+      ++shard.heartbeats_failed;
+      if (shard.healthy) {
+        shard.redial_attempts = 0;
+        shard.next_probe_at = clock_->now() + config_.heartbeat_period;
+      } else {
+        ++shard.redial_attempts;
+        shard.next_probe_at =
+            clock_->now() + redial_delay(shard, shard.redial_attempts);
+      }
     }
   }
   if (quarantined) {

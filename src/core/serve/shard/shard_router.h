@@ -216,10 +216,6 @@ class ShardRouter {
   void heartbeat_loop();
   void probe(Shard& shard);
 
-  /// Schedules the next probe of a shard whose probe just failed: plain
-  /// heartbeat cadence while healthy, capped exponential backoff with
-  /// deterministic jitter once quarantined.
-  void schedule_reprobe(Shard& shard);
   [[nodiscard]] std::chrono::milliseconds redial_delay(const Shard& shard,
                                                        int attempt) const;
 
@@ -233,7 +229,13 @@ class ShardRouter {
 
   /// Returns true when the success flipped a quarantined shard healthy.
   bool record_success(Shard& shard);
-  void record_failure(Shard& shard);
+  /// Counts one failed round-trip, quarantining the shard at the
+  /// threshold. For a failed heartbeat `probe` it also counts
+  /// heartbeats_failed and schedules the next probe — plain cadence while
+  /// healthy, capped exponential backoff with deterministic jitter once
+  /// quarantined — all in one critical section, so stats() never sees a
+  /// half-applied failure.
+  void record_failure(Shard& shard, bool probe = false);
 
   ShardRouterConfig config_;
   const util::Clock* clock_;

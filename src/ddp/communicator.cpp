@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 namespace polarice::ddp {
 
@@ -12,8 +11,40 @@ namespace {
 // enough not to burn a core.
 constexpr std::chrono::milliseconds kWaitTick{1};
 
-[[nodiscard]] bool is_power_of_two(std::size_t n) noexcept {
-  return n != 0 && (n & (n - 1)) == 0;
+struct TreeNode {
+  std::size_t lo, hi;
+};
+
+/// Appends, left to right, the maximal nodes of the canonical tree under
+/// [lo, hi) that lie wholly inside the block [first, last).
+void block_nodes(std::size_t lo, std::size_t hi, std::size_t first,
+                 std::size_t last, std::vector<TreeNode>& out) {
+  if (hi <= first || last <= lo) return;
+  if (first <= lo && hi <= last) {
+    out.push_back({lo, hi});
+    return;
+  }
+  const std::size_t mid = lo + (hi - lo) / 2;
+  block_nodes(lo, mid, first, last, out);
+  block_nodes(mid, hi, first, last, out);
+}
+
+/// Sums canonical-tree node [lo, hi) into slots[lo] in place: the node
+/// splits at lo + (hi - lo) / 2 and its sum is always left + right. The
+/// recursion stops at nodes for which `ready(lo, hi)` holds — their slot
+/// already carries the node's sum. Ranks fold their own blocks and rank 0
+/// folds across blocks with this one recursion, so the summation order
+/// depends on nothing but the leaf count.
+template <typename Ready>
+void fold_tree(const std::vector<float*>& slots, std::size_t count,
+               std::size_t lo, std::size_t hi, const Ready& ready) {
+  if (ready(lo, hi)) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  fold_tree(slots, count, lo, mid, ready);
+  fold_tree(slots, count, mid, hi, ready);
+  float* left = slots[lo];
+  const float* right = slots[mid];
+  for (std::size_t i = 0; i < count; ++i) left[i] += right[i];
 }
 }  // namespace
 
@@ -58,125 +89,68 @@ Channel& World::channel(int from, int to) {
   return *channels_[static_cast<std::size_t>(from) * size_ + to];
 }
 
-void World::barrier(std::optional<util::Clock::time_point> deadline) {
-  std::unique_lock lock(barrier_mutex_);
-  const std::uint64_t generation = barrier_generation_;
-  if (++barrier_count_ == size_) {
-    barrier_count_ = 0;
-    ++barrier_generation_;
-    barrier_cv_.notify_all();
-    return;
-  }
-  while (barrier_generation_ == generation) {
-    if (deadline && clock_->now() >= *deadline) {
-      // Withdraw this rank's arrival so a later, complete barrier round
-      // still needs all `size` ranks.
-      --barrier_count_;
-      throw CollectiveTimeout("World::barrier");
-    }
-    barrier_cv_.wait_for(lock, kWaitTick);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Collectives (transport-agnostic; summation order fixed by construction)
 // ---------------------------------------------------------------------------
 
-void Communicator::ring_allreduce_sum(float* data, std::size_t count) {
-  const int n = world_size();
-  if (n == 1 || count == 0) return;
-  const int self = rank();
-  const int right = (self + 1) % n;
-  const int left = (self - 1 + n) % n;
+void Communicator::tree_allreduce_sum(std::vector<std::vector<float>>& leaves) {
+  if (leaves.empty()) {
+    throw std::invalid_argument("tree_allreduce_sum: no contributions");
+  }
+  const std::size_t count = leaves[0].size();
+  for (const auto& leaf : leaves) {
+    if (leaf.size() != count) {
+      throw std::invalid_argument("tree_allreduce_sum: ragged buffers");
+    }
+  }
+  const std::size_t n = static_cast<std::size_t>(world_size());
+  const std::size_t self = static_cast<std::size_t>(rank());
+  const std::size_t per_rank = leaves.size();
+  const std::size_t total = per_rank * n;
   const auto deadline = collective_deadline();
 
-  // Chunk boundaries: chunk c covers [offset(c), offset(c+1)).
-  const auto offset = [&](int c) {
-    return count * static_cast<std::size_t>(c) / static_cast<std::size_t>(n);
+  // slots[i] addresses contribution i's buffer; a folded node's sum lands
+  // in the slot of its first leaf.
+  std::vector<float*> slots(total, nullptr);
+  for (std::size_t j = 0; j < per_rank; ++j) {
+    slots[self * per_rank + j] = leaves[j].data();
+  }
+  std::vector<TreeNode> nodes;
+  block_nodes(0, total, self * per_rank, (self + 1) * per_rank, nodes);
+  const auto is_leaf = [](std::size_t lo, std::size_t hi) {
+    return hi - lo == 1;
   };
-  const auto chunk_span = [&](int c) {
-    const std::size_t lo = offset(c), hi = offset(c + 1);
-    return std::pair<std::size_t, std::size_t>(lo, hi - lo);
-  };
-
-  // Phase 1: scatter-reduce. After N-1 steps rank r holds the fully reduced
-  // chunk (r+1) mod N.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = ((self - step) % n + n) % n;
-    const int recv_chunk = ((self - step - 1) % n + n) % n;
-    const auto [send_lo, send_len] = chunk_span(send_chunk);
-    std::vector<float> outgoing(data + send_lo, data + send_lo + send_len);
-    send(right, std::move(outgoing), deadline);
-    const std::vector<float> incoming = recv(left, deadline);
-    const auto [recv_lo, recv_len] = chunk_span(recv_chunk);
-    if (incoming.size() != recv_len) {
-      throw PeerLost("ring_allreduce: chunk size mismatch");
-    }
-    for (std::size_t i = 0; i < recv_len; ++i) data[recv_lo + i] += incoming[i];
+  for (const TreeNode& node : nodes) {
+    fold_tree(slots, count, node.lo, node.hi, is_leaf);
   }
 
-  // Phase 2: allgather. Each rank forwards the reduced chunks around the
-  // ring, overwriting local data.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = ((self - step + 1) % n + n) % n;
-    const int recv_chunk = ((self - step) % n + n) % n;
-    const auto [send_lo, send_len] = chunk_span(send_chunk);
-    std::vector<float> outgoing(data + send_lo, data + send_lo + send_len);
-    send(right, std::move(outgoing), deadline);
-    const std::vector<float> incoming = recv(left, deadline);
-    const auto [recv_lo, recv_len] = chunk_span(recv_chunk);
-    if (incoming.size() != recv_len) {
-      throw PeerLost("ring_allreduce: chunk size mismatch");
+  if (self != 0) {
+    std::vector<float> message;
+    message.reserve(nodes.size() * count);
+    for (const TreeNode& node : nodes) {
+      message.insert(message.end(), slots[node.lo], slots[node.lo] + count);
     }
-    std::memcpy(data + recv_lo, incoming.data(), recv_len * sizeof(float));
+    send(0, std::move(message), deadline);
+  } else {
+    std::vector<std::vector<float>> gathered(n);
+    for (std::size_t peer = 1; peer < n; ++peer) {
+      nodes.clear();
+      block_nodes(0, total, peer * per_rank, (peer + 1) * per_rank, nodes);
+      gathered[peer] = recv(static_cast<int>(peer), deadline);
+      if (gathered[peer].size() != nodes.size() * count) {
+        throw PeerLost("tree_allreduce: node sums size mismatch");
+      }
+      for (std::size_t k = 0; k < nodes.size(); ++k) {
+        slots[nodes[k].lo] = gathered[peer].data() + k * count;
+      }
+    }
+    // Every node inside one rank's block is already summed.
+    fold_tree(slots, count, 0, total, [per_rank](std::size_t lo,
+                                                 std::size_t hi) {
+      return lo / per_rank == (hi - 1) / per_rank;
+    });
   }
-}
-
-void Communicator::ring_allreduce_average(float* data, std::size_t count) {
-  ring_allreduce_sum(data, count);
-  const float inv = 1.0f / static_cast<float>(world_size());
-  for (std::size_t i = 0; i < count; ++i) data[i] *= inv;
-}
-
-void Communicator::tree_allreduce_sum(float* data, std::size_t count) {
-  const int n = world_size();
-  if (!is_power_of_two(static_cast<std::size_t>(n))) {
-    throw std::invalid_argument(
-        "tree_allreduce_sum: world size must be a power of two, got " +
-        std::to_string(n));
-  }
-  if (n == 1 || count == 0) return;
-  const int self = rank();
-  const auto deadline = collective_deadline();
-
-  // Level l pairs rank r with r ^ 2^l; after the exchange both hold the
-  // reduced subtree of the 2^(l+1) ranks sharing their high bits. The sum
-  // is always lower-subtree + upper-subtree, so every rank applies the
-  // identical canonical tree: ((r0+r1)+(r2+r3))... regardless of which
-  // rank evaluates it.
-  std::vector<float> incoming;
-  for (int bit = 1; bit < n; bit <<= 1) {
-    const int partner = self ^ bit;
-    // The lower rank of the pair sends first; the upper receives first —
-    // full-buffer exchanges can never deadlock on transport backpressure.
-    if (self < partner) {
-      send(partner, std::vector<float>(data, data + count), deadline);
-      incoming = recv(partner, deadline);
-    } else {
-      incoming = recv(partner, deadline);
-      send(partner, std::vector<float>(data, data + count), deadline);
-    }
-    if (incoming.size() != count) {
-      throw PeerLost("tree_allreduce: buffer size mismatch");
-    }
-    if (self < partner) {
-      // data holds the lower subtree: lower + upper.
-      for (std::size_t i = 0; i < count; ++i) data[i] += incoming[i];
-    } else {
-      // data holds the upper subtree: keep the same operand order.
-      for (std::size_t i = 0; i < count; ++i) data[i] = incoming[i] + data[i];
-    }
-  }
+  broadcast(leaves[0].data(), count, /*root=*/0);
 }
 
 void Communicator::broadcast(float* data, std::size_t count, int root) {
@@ -224,34 +198,6 @@ void ThreadCommunicator::send(int to, std::vector<float> message,
 std::vector<float> ThreadCommunicator::recv(int from,
                                             util::Clock::time_point deadline) {
   return world_->channel(from, rank_).recv(deadline, &clock());
-}
-
-void ThreadCommunicator::barrier(util::Clock::time_point deadline) {
-  world_->barrier(deadline);
-}
-
-void tree_fold(std::vector<std::vector<float>>& buffers) {
-  if (!is_power_of_two(buffers.size())) {
-    throw std::invalid_argument(
-        "tree_fold: buffer count must be a power of two, got " +
-        std::to_string(buffers.size()));
-  }
-  const std::size_t count = buffers[0].size();
-  for (const auto& b : buffers) {
-    if (b.size() != count) {
-      throw std::invalid_argument("tree_fold: ragged buffers");
-    }
-  }
-  // Fold pairs at stride 1, 2, 4...: after the last level buffers[0] holds
-  // the canonical balanced-tree sum, the exact shape tree_allreduce_sum
-  // continues across ranks.
-  for (std::size_t stride = 1; stride < buffers.size(); stride <<= 1) {
-    for (std::size_t lo = 0; lo + stride < buffers.size(); lo += 2 * stride) {
-      float* left = buffers[lo].data();
-      const float* right = buffers[lo + stride].data();
-      for (std::size_t i = 0; i < count; ++i) left[i] += right[i];
-    }
-  }
 }
 
 }  // namespace polarice::ddp

@@ -9,18 +9,14 @@
 // transport: a socket fleet's result is bit-compared against the thread
 // path in tests.
 //
-//   * ring_allreduce_sum: chunked ring (Patarasuk & Yuan 2009 — the
-//     algorithm Horovod uses via NCCL). Deterministic fixed order, bit-
-//     identical across ranks, but the summation order depends on the world
-//     size.
-//   * tree_allreduce_sum: recursive halving-doubling over a canonical
-//     balanced binary tree (power-of-two worlds). The tree over N
-//     contributions is the same shape whether it is folded by 1, 2, or 4
-//     ranks, so results are bit-identical ACROSS world sizes when each
-//     rank's local buffer is itself a canonical tree fold of its
-//     contiguous contribution block (tree_fold below). The fleet trainer
-//     rests on this: a 4-rank run reproduces a single-rank run bit for
-//     bit.
+//   * tree_allreduce_sum: one canonical binary tree over every per-sample
+//     contribution of the global batch, whatever the world size. Each rank
+//     folds the tree nodes that lie wholly inside its contiguous block,
+//     sends their sums to rank 0, and rank 0 evaluates the rest of the
+//     same tree. The summation order depends only on the total number of
+//     contributions, so results are bit-identical across ranks AND across
+//     world sizes. The fleet trainer rests on this: a 6-rank run
+//     reproduces a single-rank run bit for bit.
 //   * broadcast: ring pipeline from `root`.
 //
 // Every blocking path takes its deadline from an injectable util::Clock
@@ -32,7 +28,6 @@
 #include <condition_variable>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -86,19 +81,10 @@ class World {
   [[nodiscard]] const util::Clock& clock() const noexcept { return *clock_; }
   [[nodiscard]] Channel& channel(int from, int to);
 
-  /// Blocks until all `size` ranks arrive (reusable) or `deadline` passes
-  /// on the world's clock — a rank that never shows up fails the barrier
-  /// with CollectiveTimeout on every waiting rank instead of wedging them.
-  void barrier(std::optional<util::Clock::time_point> deadline = {});
-
  private:
   int size_;
   const util::Clock* clock_;
   std::vector<std::unique_ptr<Channel>> channels_;  // size x size mesh
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_count_ = 0;
-  std::uint64_t barrier_generation_ = 0;
 };
 
 /// Transport-agnostic per-rank handle. The collectives are implemented
@@ -119,9 +105,6 @@ class Communicator {
   [[nodiscard]] virtual std::vector<float> recv(
       int from, util::Clock::time_point deadline) = 0;
 
-  /// All ranks rendezvous; same deadline semantics.
-  virtual void barrier(util::Clock::time_point deadline) = 0;
-
   // Convenience forms: one fresh per-collective deadline from the options.
   void send(int to, std::vector<float> message) {
     send(to, std::move(message), collective_deadline());
@@ -129,22 +112,16 @@ class Communicator {
   [[nodiscard]] std::vector<float> recv(int from) {
     return recv(from, collective_deadline());
   }
-  void barrier() { barrier(collective_deadline()); }
 
-  /// In-place chunked ring allreduce (sum): after the call every rank
-  /// holds the element-wise sum over all ranks, bit-identical across
-  /// ranks. 2(N-1) chunk transfers per rank.
-  void ring_allreduce_sum(float* data, std::size_t count);
-
-  /// Convenience: ring sum then scale by 1/world_size (gradient
-  /// averaging).
-  void ring_allreduce_average(float* data, std::size_t count);
-
-  /// In-place recursive halving-doubling allreduce (sum) over the
-  /// canonical balanced tree. Requires a power-of-two world size (throws
-  /// std::invalid_argument otherwise). Bit-identical across ranks AND
-  /// across power-of-two world sizes (see header comment / tree_fold).
-  void tree_allreduce_sum(float* data, std::size_t count);
+  /// Canonical-tree allreduce (sum) over B = leaves.size() x world_size
+  /// contributions: rank r passes the equal-length buffers of
+  /// contributions [r*b, (r+1)*b), b = leaves.size(), the same b on every
+  /// rank. Tree node [lo, hi) splits at lo + (hi - lo) / 2 and sums
+  /// left + right. On return leaves[0] holds the total on every rank
+  /// (bit-identical across ranks and world sizes); the other leaves are
+  /// clobbered. Only rank 0 receives during the gather, so no exchange can
+  /// deadlock on transport backpressure.
+  void tree_allreduce_sum(std::vector<std::vector<float>>& leaves);
 
   /// Copies `data` from `root` to every rank (ring pipeline).
   void broadcast(float* data, std::size_t count, int root);
@@ -183,9 +160,7 @@ class ThreadCommunicator final : public Communicator {
             util::Clock::time_point deadline) override;
   [[nodiscard]] std::vector<float> recv(
       int from, util::Clock::time_point deadline) override;
-  void barrier(util::Clock::time_point deadline) override;
 
-  using Communicator::barrier;
   using Communicator::recv;
   using Communicator::send;
 
@@ -193,12 +168,5 @@ class ThreadCommunicator final : public Communicator {
   std::shared_ptr<World> world_;
   int rank_;
 };
-
-/// Folds `buffers` (all the same length) into buffers[0] along the
-/// canonical balanced binary tree: split in half, fold each half, add
-/// left + right. The cross-rank tree_allreduce continues this exact tree
-/// upward, which is what makes fleet results world-size invariant.
-/// Requires a power-of-two buffer count.
-void tree_fold(std::vector<std::vector<float>>& buffers);
 
 }  // namespace polarice::ddp

@@ -28,8 +28,6 @@ double seconds_since(SteadyClock::time_point t0) {
   return std::chrono::duration<double>(SteadyClock::now() - t0).count();
 }
 
-bool power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
 // Cursor fields travel inside float broadcasts; past 2^24 they would stop
 // being exact, so the trainer refuses rather than silently drifting.
 constexpr std::int64_t kMaxExactF32 = std::int64_t{1} << 24;
@@ -257,9 +255,13 @@ class RankRun {
       }
 
       // Per-sample gradients for this rank's contiguous slots of the
-      // global batch, folded along the canonical balanced tree. The
-      // cross-rank reduce continues the same tree, so the summed gradient
-      // is bit-identical at every power-of-two world size.
+      // global batch, each buffer [grads, loss, stop vote]. One combined
+      // collective per step sums them along the canonical tree over the
+      // whole global batch, so the summed gradient is bit-identical at
+      // every world size. A stop vote (SIGTERM) reaches every rank through
+      // the same reduce that moves gradients, so the fleet always agrees
+      // on whether the pending step happened.
+      const bool vote_stop = stop_ != nullptr && stop_->load();
       const std::size_t base =
           static_cast<std::size_t>(cursor_.step) * batch_global +
           static_cast<std::size_t>(rank_) * batch_local;
@@ -275,25 +277,18 @@ class RankRun {
                                           dlogits);
         model_.backward(dlogits);
         auto& buffer = sample_buffers_[j];
-        buffer.resize(pcount_ + 1);
+        buffer.resize(pcount_ + 2);
         copy_grads(params_, buffer.data());
         buffer[pcount_] = loss;
+        buffer[pcount_ + 1] = vote_stop ? 1.0f : 0.0f;
       }
-      tree_fold(sample_buffers_);
-
-      // One combined collective per step: [tree-summed grads, loss sum,
-      // stop votes]. A stop vote (SIGTERM) reaches every rank through the
-      // same reduce that moves gradients, so the fleet always agrees on
-      // whether the pending step happened.
-      const bool vote_stop = stop_ != nullptr && stop_->load();
-      reduce_buffer_ = sample_buffers_[0];
-      reduce_buffer_.push_back(vote_stop ? 1.0f : 0.0f);
       const auto reduce_t0 = SteadyClock::now();
-      comm.tree_allreduce_sum(reduce_buffer_.data(), reduce_buffer_.size());
+      comm.tree_allreduce_sum(sample_buffers_);
       metrics.allreduce_time->observe(seconds_since(reduce_t0));
-      metrics.bytes_reduced->add(reduce_buffer_.size() * sizeof(float));
+      const std::vector<float>& reduced = sample_buffers_[0];
+      metrics.bytes_reduced->add(reduced.size() * sizeof(float));
 
-      if (reduce_buffer_[pcount_ + 1] > 0.0f) {
+      if (reduced[pcount_ + 1] > 0.0f) {
         // Stop agreed: the pending step is NOT applied; rank 0 makes the
         // current trajectory point durable and everyone exits cleanly.
         stats_.stopped = true;
@@ -301,8 +296,8 @@ class RankRun {
         return;
       }
 
-      stats_.final_loss = reduce_buffer_[pcount_] * inv_batch;
-      load_grads(params_, reduce_buffer_.data(), inv_batch);
+      stats_.final_loss = reduced[pcount_] * inv_batch;
+      load_grads(params_, reduced.data(), inv_batch);
       adam_.step();
       cursor_.adam_t = adam_.step_count();
       ++cursor_.step;
@@ -359,7 +354,6 @@ class RankRun {
   std::vector<std::size_t> order_;
   std::int64_t order_epoch_ = -1;
   std::vector<std::vector<float>> sample_buffers_;
-  std::vector<float> reduce_buffer_;
 };
 
 }  // namespace
@@ -371,13 +365,12 @@ void FleetTrainConfig::validate() const {
         "FleetTrainConfig: dropout must be disabled — per-replica mask "
         "streams break world-size-invariant determinism");
   }
-  if (!power_of_two(world_size)) {
-    throw std::invalid_argument(
-        "FleetTrainConfig: world_size must be a power of two");
+  if (world_size < 1) {
+    throw std::invalid_argument("FleetTrainConfig: world_size must be >= 1");
   }
-  if (!power_of_two(batch_per_device)) {
+  if (batch_per_device < 1) {
     throw std::invalid_argument(
-        "FleetTrainConfig: batch_per_device must be a power of two");
+        "FleetTrainConfig: batch_per_device must be >= 1");
   }
   if (epochs < 1) {
     throw std::invalid_argument("FleetTrainConfig: epochs must be >= 1");

@@ -1,6 +1,7 @@
 #pragma once
-// Fault-tolerant synchronous data-parallel training — the multi-process
-// successor to ddp/distributed_trainer.h, built to die and come back.
+// Fault-tolerant synchronous data-parallel training — the repo's one
+// data-parallel trainer (paper §III.C.1, Table III), built to die and come
+// back.
 //
 // One rank == one process (tools/polarice_trainer) joined over the
 // SocketCommunicator mesh, or one thread over a shared World for the
@@ -14,11 +15,10 @@
 //   2. Step loop: each global batch is a contiguous block of a stateless
 //      per-epoch permutation (seed+epoch → order, so the data cursor is
 //      just (epoch, step)). Each rank computes per-sample gradients for
-//      its slots, folds them along the canonical balanced tree
-//      (tree_fold), and the cross-rank tree_allreduce continues the same
-//      tree — one combined collective also carrying the loss sum and a
-//      stop vote. Results are bit-identical across power-of-two world
-//      sizes AND across thread/socket transports.
+//      its slots and tree_allreduce_sum folds all of them along one
+//      canonical tree over the global batch — one combined collective also
+//      carrying the loss sum and a stop vote. Results are bit-identical
+//      across world sizes AND across thread/socket transports.
 //   3. Failure: any CollectiveTimeout/PeerLost tears the mesh down and
 //      re-enters (1) under capped exponential backoff. A SIGKILLed rank is
 //      relaunched by its supervisor, rejoins the rendezvous, and the fleet
@@ -26,10 +26,10 @@
 //      never crashed, because every checkpoint lies on the uninterrupted
 //      trajectory.
 //
-// Determinism requirements (validated): power-of-two world size and
-// batch_per_device, dropout disabled (per-replica mask streams would
-// diverge across world sizes). Gradients are computed sample-at-a-time so
-// the summation tree over the global batch is independent of how ranks
+// Determinism requirement (validated): dropout disabled (per-replica mask
+// streams would diverge across world sizes). Any world size and
+// batch_per_device work: gradients are computed sample-at-a-time, so the
+// summation tree over the global batch is independent of how ranks
 // partition it.
 
 #include <atomic>
@@ -50,9 +50,9 @@ namespace polarice::ddp {
 
 struct FleetTrainConfig {
   nn::UNetConfig model;      // use_dropout must be false
-  int world_size = 1;        // power of two
+  int world_size = 1;
   int epochs = 2;
-  int batch_per_device = 2;  // power of two; global batch = this x world
+  int batch_per_device = 2;  // global batch = this x world_size
   float learning_rate = 1e-3f;
   std::uint64_t seed = 7;    // epoch shuffles + config fingerprint
   /// Rank 0 writes a durable checkpoint when global_step is a multiple of
@@ -65,8 +65,8 @@ struct FleetTrainConfig {
   std::chrono::milliseconds rejoin_backoff_cap{2000};
   CollectiveOptions collective;
 
-  /// Throws std::invalid_argument on violated invariants (non-power-of-two
-  /// world/batch, dropout enabled, nonsense bounds).
+  /// Throws std::invalid_argument on violated invariants (dropout enabled,
+  /// nonsense bounds).
   void validate() const;
 
   [[nodiscard]] int global_batch() const noexcept {
@@ -76,7 +76,7 @@ struct FleetTrainConfig {
   /// Identity of the training trajectory: model geometry, seed, global
   /// batch, learning rate. Deliberately excludes world_size (results are
   /// world-size invariant by construction) so a checkpoint written by a
-  /// 4-rank fleet can resume a 2-rank one. Used for both the checkpoint
+  /// 6-rank fleet can resume a 4-rank one at the same global batch. Used for both the checkpoint
   /// store and the socket rendezvous hello.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };

@@ -175,19 +175,25 @@ net::Connection& SocketCommunicator::connection_to(int peer_rank) {
   return conn;
 }
 
-void SocketCommunicator::send_train_frame(
-    int to, net::MsgType type, const std::vector<std::uint8_t>& payload,
-    util::Clock::time_point deadline) {
+void SocketCommunicator::send(int to, std::vector<float> message,
+                              util::Clock::time_point deadline) {
+  net::Connection& conn = connection_to(to);
+  Peer& peer = peers_[static_cast<std::size_t>(to)];
+  net::WireWriter w;
+  w.put_u32(static_cast<std::uint32_t>(config_.rank));
+  w.put_u64(peer.next_send_seq);
+  w.put_u64(message.size());
+  for (float v : message) w.put_f32(v);
   try {
-    connection_to(to).write_frame(type, payload, deadline);
+    conn.write_frame(net::MsgType::kTrainChunk, w.bytes(), deadline);
   } catch (const net::TransportError&) {
     rethrow_as_collective("send");
   }
+  ++peer.next_send_seq;
 }
 
-net::WireReader SocketCommunicator::read_train_frame(
-    int from, net::MsgType expected_type, std::vector<std::uint8_t>& storage,
-    util::Clock::time_point deadline) {
+std::vector<float> SocketCommunicator::recv(int from,
+                                            util::Clock::time_point deadline) {
   net::Frame frame;
   try {
     frame = connection_to(from).read_frame(deadline);
@@ -196,20 +202,19 @@ net::WireReader SocketCommunicator::read_train_frame(
   } catch (const net::WireError&) {
     rethrow_as_collective("recv");
   }
-  if (frame.type != expected_type) {
+  if (frame.type != net::MsgType::kTrainChunk) {
     throw PeerLost("rank " + std::to_string(from) + ": expected " +
-                   std::string(net::to_string(expected_type)) + ", got " +
+                   net::to_string(net::MsgType::kTrainChunk) + ", got " +
                    net::to_string(frame.type));
   }
-  storage = std::move(frame.payload);
-  net::WireReader reader(storage);
+  net::WireReader reader(frame.payload);
   const int claimed = static_cast<int>(reader.get_u32());
   if (claimed != from) {
     throw PeerLost("rank " + std::to_string(from) + ": frame claims rank " +
                    std::to_string(claimed));
   }
   const std::uint64_t seq = reader.get_u64();
-  Peer& peer = peers_[from];
+  Peer& peer = peers_[static_cast<std::size_t>(from)];
   if (seq != peer.next_recv_seq) {
     throw PeerLost("rank " + std::to_string(from) + ": sequence " +
                    std::to_string(seq) + ", expected " +
@@ -217,26 +222,6 @@ net::WireReader SocketCommunicator::read_train_frame(
                    " (peer restarted or desynced)");
   }
   ++peer.next_recv_seq;
-  return reader;
-}
-
-void SocketCommunicator::send(int to, std::vector<float> message,
-                              util::Clock::time_point deadline) {
-  Peer& peer = peers_[static_cast<std::size_t>(to)];
-  net::WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(config_.rank));
-  w.put_u64(peer.next_send_seq);
-  w.put_u64(message.size());
-  for (float v : message) w.put_f32(v);
-  send_train_frame(to, net::MsgType::kTrainChunk, w.bytes(), deadline);
-  ++peer.next_send_seq;
-}
-
-std::vector<float> SocketCommunicator::recv(int from,
-                                            util::Clock::time_point deadline) {
-  std::vector<std::uint8_t> storage;
-  net::WireReader reader =
-      read_train_frame(from, net::MsgType::kTrainChunk, storage, deadline);
   const std::uint64_t count = reader.get_u64();
   if (count * sizeof(float) != reader.remaining()) {
     throw PeerLost("rank " + std::to_string(from) + ": chunk length lies");
@@ -245,50 +230,6 @@ std::vector<float> SocketCommunicator::recv(int from,
   for (std::uint64_t i = 0; i < count; ++i) message[i] = reader.get_f32();
   reader.expect_end();
   return message;
-}
-
-void SocketCommunicator::barrier(util::Clock::time_point deadline) {
-  if (config_.world_size == 1) return;
-  const std::uint64_t generation = barrier_generation_++;
-  const auto encode_token = [&](int to, std::uint8_t phase) {
-    net::WireWriter w;
-    w.put_u32(static_cast<std::uint32_t>(config_.rank));
-    w.put_u64(peers_[to].next_send_seq);
-    w.put_u64(generation);
-    w.put_u8(phase);
-    return w.take();
-  };
-  const auto read_token = [&](int from, std::uint8_t phase) {
-    std::vector<std::uint8_t> storage;
-    net::WireReader reader = read_train_frame(
-        from, net::MsgType::kTrainBarrier, storage, deadline);
-    const std::uint64_t peer_generation = reader.get_u64();
-    const std::uint8_t peer_phase = reader.get_u8();
-    reader.expect_end();
-    if (peer_generation != generation || peer_phase != phase) {
-      throw PeerLost("barrier: rank " + std::to_string(from) +
-                     " at generation " + std::to_string(peer_generation) +
-                     " phase " + std::to_string(peer_phase) + ", expected " +
-                     std::to_string(generation) + "/" +
-                     std::to_string(phase));
-    }
-  };
-
-  if (config_.rank == 0) {
-    for (int peer = 1; peer < config_.world_size; ++peer) {
-      read_token(peer, /*phase=*/0);
-    }
-    for (int peer = 1; peer < config_.world_size; ++peer) {
-      send_train_frame(peer, net::MsgType::kTrainBarrier,
-                       encode_token(peer, /*phase=*/1), deadline);
-      ++peers_[peer].next_send_seq;
-    }
-  } else {
-    send_train_frame(0, net::MsgType::kTrainBarrier,
-                     encode_token(0, /*phase=*/0), deadline);
-    ++peers_[0].next_send_seq;
-    read_token(0, /*phase=*/1);
-  }
 }
 
 }  // namespace polarice::ddp

@@ -23,19 +23,18 @@
 // (kMaxPayload) so a corrupted length field cannot drive a huge
 // allocation.
 //
-// Serializers cover the shard protocol's vocabulary: img::Image planes
-// (u8 class-id planes and f32 intermediates), scene geometry, submission
-// options, and server stats. The transport layer (net/transport.h) moves
-// frames; this header owns their meaning.
+// Serializers cover the domain-neutral vocabulary: img::Image planes
+// (u8 class-id planes and f32 intermediates) and scene geometry. The
+// serving stack's own codecs (submit options, server stats) live with the
+// shard protocol (core/serve/shard/protocol.h). The transport layer
+// (net/transport.h) moves frames; this header owns their meaning.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/serve/scene_server.h"
 #include "img/image.h"
 #include "util/hash.h"
 
@@ -62,8 +61,9 @@ inline constexpr std::uint32_t kWireMagic = 0x45434950;  // 'PICE' LE
 // uptime + a brownout flag, and the metrics scrape messages
 // (kMetricsRequest/kMetricsResponse) joined the vocabulary. Mixed-version
 // fleets fail loudly at the frame header instead of misdecoding.
-// v4: the distributed-training messages (kTrainHello/kTrainChunk/
-// kTrainBarrier) joined the vocabulary for the ddp socket communicator.
+// v4: the distributed-training messages (kTrainHello/kTrainChunk, and a
+// barrier token since retired) joined the vocabulary for the ddp socket
+// communicator.
 inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 /// Ceiling on one frame's payload — large enough for any realistic scene
@@ -83,11 +83,11 @@ enum class MsgType : std::uint16_t {
   kMetricsRequest = 7,   // scrape: dump the worker's obs registry
   kMetricsResponse = 8,  // worker -> scraper: text exposition + identity
   // Distributed training (ddp/socket_communicator.h). Rendezvous first
-  // (kTrainHello both ways), then every collective moves float chunks and
-  // barrier tokens as sequence-numbered kTrainChunk/kTrainBarrier frames.
-  kTrainHello = 9,    // rank identity + world size + config fingerprint
-  kTrainChunk = 10,   // one float buffer of a collective (seq + rank + data)
-  kTrainBarrier = 11  // barrier arrival/release token (seq + rank + phase)
+  // (kTrainHello both ways), then every collective moves float buffers as
+  // sequence-numbered kTrainChunk frames. Type 11 (the retired barrier
+  // token) stays unassigned.
+  kTrainHello = 9,   // rank identity + world size + config fingerprint
+  kTrainChunk = 10,  // one float buffer of a collective (seq + rank + data)
 };
 
 [[nodiscard]] const char* to_string(MsgType type) noexcept;
@@ -243,18 +243,5 @@ struct SceneGeometry {
 };
 void put_geometry(WireWriter& writer, const SceneGeometry& geometry);
 [[nodiscard]] SceneGeometry get_geometry(WireReader& reader);
-
-/// Submit options: priority class, optional relative deadline, retry
-/// budget. The deadline travels as relative nanoseconds (applied against
-/// the worker's clock at admission) so router and worker need no shared
-/// epoch.
-void put_submit_options(WireWriter& writer,
-                        const core::serve::SubmitOptions& options);
-[[nodiscard]] core::serve::SubmitOptions get_submit_options(
-    WireReader& reader);
-
-/// Full SceneServerStats snapshot — the heartbeat's cargo.
-void put_stats(WireWriter& writer, const core::serve::SceneServerStats& stats);
-[[nodiscard]] core::serve::SceneServerStats get_stats(WireReader& reader);
 
 }  // namespace polarice::net

@@ -1,7 +1,7 @@
 #pragma once
 // Optimizers over flat parameter lists: SGD (+momentum) and Adam (the
-// paper's choice). The ddp DistributedOptimizer wraps one of these and
-// averages gradients across ranks before each step.
+// paper's choice). The ddp fleet trainer steps an Adam on gradients
+// already summed across ranks.
 
 #include <vector>
 

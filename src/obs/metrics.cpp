@@ -119,13 +119,14 @@ const typename Vec::value_type* find_by_name(const Vec& v,
 
 }  // namespace
 
-const CounterSample* Snapshot::find_counter(const std::string& name) const {
+const CounterSample* Snapshot::find_counter(const std::string& name) const& {
   return find_by_name(counters, name);
 }
-const GaugeSample* Snapshot::find_gauge(const std::string& name) const {
+const GaugeSample* Snapshot::find_gauge(const std::string& name) const& {
   return find_by_name(gauges, name);
 }
-const HistogramSample* Snapshot::find_histogram(const std::string& name) const {
+const HistogramSample* Snapshot::find_histogram(
+    const std::string& name) const& {
   return find_by_name(histograms, name);
 }
 

@@ -179,10 +179,17 @@ struct Snapshot {
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
 
-  [[nodiscard]] const CounterSample* find_counter(const std::string& name) const;
-  [[nodiscard]] const GaugeSample* find_gauge(const std::string& name) const;
+  /// Lookups return pointers into this snapshot, so they are lvalue-only:
+  /// `registry.snapshot().find_gauge(...)` would dangle at the end of the
+  /// full expression and does not compile.
+  [[nodiscard]] const CounterSample* find_counter(
+      const std::string& name) const&;
+  [[nodiscard]] const GaugeSample* find_gauge(const std::string& name) const&;
   [[nodiscard]] const HistogramSample* find_histogram(
-      const std::string& name) const;
+      const std::string& name) const&;
+  const CounterSample* find_counter(const std::string&) const&& = delete;
+  const GaugeSample* find_gauge(const std::string&) const&& = delete;
+  const HistogramSample* find_histogram(const std::string&) const&& = delete;
 };
 
 /// Prometheus-flavoured text exposition (sorted by name; histograms emit

@@ -1,14 +1,16 @@
 // Fleet-trainer tests: the determinism and fault-tolerance properties the
 // distributed training tier rests on.
 //
-//  * World-size invariance: the same seed produces BIT-identical rank-0
-//    parameters at world sizes 1, 2, and 4 (per-sample gradients folded
-//    along one canonical tree, regardless of how ranks partition a batch).
+//  * World-size invariance: the same seed and global batch produce
+//    BIT-identical rank-0 parameters at world sizes 1, 2, 3, 4, and 6
+//    (per-sample gradients folded along one canonical tree, regardless of
+//    how ranks partition a batch).
 //  * Transport invariance: a socket fleet matches the in-process thread
-//    reference bitwise.
+//    reference bitwise at every one of those world sizes.
 //  * Kill-and-resume: a rank that dies mid-run and rejoins from the last
 //    durable checkpoint converges to the bit-identical parameters of an
-//    uninterrupted run.
+//    uninterrupted run — also when a 6-rank fleet's checkpoint resumes a
+//    4-rank fleet.
 //  * Typed failures: a fleet that cannot form times out with a
 //    CollectiveError, never a hang.
 
@@ -18,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +30,7 @@
 #include "ddp/fleet_trainer.h"
 #include "ddp/socket_communicator.h"
 #include "nn/unet.h"
+#include "util/rng.h"
 
 namespace pd = polarice::ddp;
 namespace pn = polarice::nn;
@@ -59,10 +63,19 @@ pd::FleetTrainConfig tiny_fleet(int world_size, int batch_per_device) {
   return cfg;
 }
 
-pn::SegDataset tiny_data() {
-  return pd::make_synthetic_dataset(/*samples=*/8, /*channels=*/3,
+pn::SegDataset tiny_data(int samples = 8) {
+  return pd::make_synthetic_dataset(samples, /*channels=*/3,
                                     /*height=*/16, /*width=*/16,
                                     /*classes=*/2, /*seed=*/11);
+}
+
+// Global batch 12 divides among 1, 2, 3, 4, and 6 ranks; 24 samples make
+// two steps per epoch.
+constexpr int kGlobalBatch = 12;
+constexpr int kWorldSizes[] = {1, 2, 3, 4, 6};
+
+pd::FleetTrainConfig batch12_fleet(int world_size) {
+  return tiny_fleet(world_size, kGlobalBatch / world_size);
 }
 
 std::vector<float> flat_params(pn::UNet& model) {
@@ -87,11 +100,15 @@ TEST(FleetConfig, ValidatesInvariants) {
   auto cfg = tiny_fleet(2, 2);
   EXPECT_NO_THROW(cfg.validate());
 
+  // Any world size and per-rank batch: the canonical tree covers them all.
+  EXPECT_NO_THROW(tiny_fleet(3, 3).validate());
+  EXPECT_NO_THROW(tiny_fleet(6, 5).validate());
+
   auto bad = cfg;
-  bad.world_size = 3;  // not a power of two: breaks the canonical tree
+  bad.world_size = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = cfg;
-  bad.batch_per_device = 3;
+  bad.batch_per_device = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = cfg;
   bad.model.use_dropout = true;  // mask streams diverge across world sizes
@@ -109,6 +126,7 @@ TEST(FleetConfig, FingerprintIgnoresWorldSplit) {
   const auto c = tiny_fleet(2, 2).fingerprint();
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+  EXPECT_EQ(batch12_fleet(6).fingerprint(), batch12_fleet(4).fingerprint());
 
   auto other = tiny_fleet(1, 4);
   other.seed = 8;
@@ -116,61 +134,119 @@ TEST(FleetConfig, FingerprintIgnoresWorldSplit) {
 }
 
 // The headline determinism property: the same seed and global batch yield
-// BITWISE-identical rank-0 parameters at world sizes 1, 2, and 4.
+// BITWISE-identical rank-0 parameters at world sizes 1, 2, 3, 4, and 6.
 TEST(FleetTrainer, BitIdenticalAcrossWorldSizes) {
-  const auto data = tiny_data();
-  std::vector<std::vector<float>> params;
-  std::vector<float> losses;
-  for (const auto [world, batch] : {std::pair{1, 4}, {2, 2}, {4, 1}}) {
+  const auto data = tiny_data(24);
+  std::vector<float> reference;
+  float reference_loss = 0.0f;
+  for (const int world : kWorldSizes) {
     pn::UNet model(tiny_model());
-    const auto stats = pd::train_fleet(model, data, tiny_fleet(world, batch));
-    EXPECT_GT(stats.steps, 0) << "world " << world;
-    params.push_back(flat_params(model));
-    losses.push_back(stats.final_loss);
+    const auto stats = pd::train_fleet(model, data, batch12_fleet(world));
+    EXPECT_EQ(stats.steps, 4) << "world " << world;
+    if (world == 1) {
+      reference = flat_params(model);
+      reference_loss = stats.final_loss;
+      continue;
+    }
+    EXPECT_EQ(flat_params(model), reference)
+        << "world " << world << " diverged from world 1";
+    EXPECT_EQ(stats.final_loss, reference_loss) << "world " << world;
   }
-  ASSERT_EQ(params.size(), 3u);
-  EXPECT_EQ(params[1], params[0]) << "world 2 diverged from world 1";
-  EXPECT_EQ(params[2], params[0]) << "world 4 diverged from world 1";
-  EXPECT_EQ(losses[1], losses[0]);
-  EXPECT_EQ(losses[2], losses[0]);
 }
 
 // Transport invariance: a socket mesh (real wire frames over unix sockets)
-// must produce the bit-identical parameters of the thread reference.
+// must produce the bit-identical parameters of the thread reference, at
+// every world size.
 TEST(FleetTrainer, SocketMatchesThreadTransportBitwise) {
-  const auto data = tiny_data();
-  const auto config = tiny_fleet(2, 2);
-
+  const auto data = tiny_data(24);
   pn::UNet thread_model(tiny_model());
-  (void)pd::train_fleet(thread_model, data, config);
+  (void)pd::train_fleet(thread_model, data, batch12_fleet(3));
   const auto reference = flat_params(thread_model);
 
-  const std::string dir = scratch_dir("socket-vs-thread");
-  const auto endpoints = pd::fleet_endpoints(dir, config.world_size);
-  const auto fingerprint = config.fingerprint();
+  for (const int world : kWorldSizes) {
+    const auto config = batch12_fleet(world);
+    const std::string dir =
+        scratch_dir("socket-vs-thread-" + std::to_string(world));
+    const auto endpoints = pd::fleet_endpoints(dir, world);
+    std::vector<std::vector<float>> socket_params(world);
+    std::vector<std::jthread> ranks;
+    for (int r = 0; r < world; ++r) {
+      ranks.emplace_back([&, r] {
+        pd::SocketCommunicatorConfig mesh;
+        mesh.rank = r;
+        mesh.world_size = world;
+        mesh.endpoints = endpoints;
+        mesh.fingerprint = config.fingerprint();
+        mesh.collective = config.collective;
+        pn::UNet model(tiny_model());
+        const auto stats = pd::train_fleet_rank(
+            model, data, config, r,
+            [&mesh] { return std::make_unique<pd::SocketCommunicator>(mesh); });
+        EXPECT_GT(stats.steps, 0);
+        socket_params[static_cast<std::size_t>(r)] = flat_params(model);
+      });
+    }
+    ranks.clear();  // join
 
-  std::vector<std::vector<float>> socket_params(2);
-  std::vector<std::jthread> ranks;
-  for (int r = 0; r < 2; ++r) {
-    ranks.emplace_back([&, r] {
-      pd::SocketCommunicatorConfig mesh;
-      mesh.rank = r;
-      mesh.world_size = config.world_size;
-      mesh.endpoints = endpoints;
-      mesh.fingerprint = fingerprint;
-      mesh.collective = config.collective;
-      pn::UNet model(tiny_model());
-      const auto stats = pd::train_fleet_rank(
-          model, data, config, r,
-          [&mesh] { return std::make_unique<pd::SocketCommunicator>(mesh); });
-      EXPECT_GT(stats.steps, 0);
-      socket_params[static_cast<std::size_t>(r)] = flat_params(model);
-    });
+    for (int r = 0; r < world; ++r) {
+      EXPECT_EQ(socket_params[static_cast<std::size_t>(r)], reference)
+          << "world " << world << " rank " << r;
+    }
   }
-  ranks.clear();  // join
+}
 
-  EXPECT_EQ(socket_params[0], reference);
-  EXPECT_EQ(socket_params[1], reference);
+// A checkpoint is a point on the world-size-independent trajectory: a
+// 6-rank fleet stopped after 3 steps resumes as a 4-rank fleet and ends
+// bit-identical to an uninterrupted run.
+TEST(FleetTrainer, CheckpointFromWorldSixResumesAtWorldFour) {
+  const auto data = tiny_data(24);
+  pn::UNet reference(tiny_model());
+  (void)pd::train_fleet(reference, data, batch12_fleet(1));
+
+  const std::string dir = scratch_dir("resume-6-to-4");
+  auto six = batch12_fleet(6);
+  six.checkpoint_dir = dir;
+  six.checkpoint_every = 100;  // only the join and stop checkpoints
+  {
+    const auto world = std::make_shared<pd::World>(six.world_size);
+    std::atomic<bool> stop{false};
+    std::vector<pd::FleetTrainStats> stats(6);
+    std::vector<std::jthread> ranks;
+    for (int r = 0; r < six.world_size; ++r) {
+      ranks.emplace_back([&, r] {
+        pn::UNet model(tiny_model());
+        // Rank 0 raises the stop flag before its own vote at step 3, so the
+        // whole fleet stops there whatever the other ranks read.
+        std::function<void(std::int64_t)> hook;
+        if (r == 0) {
+          hook = [&stop](std::int64_t step) {
+            if (step == 3) stop = true;
+          };
+        }
+        stats[static_cast<std::size_t>(r)] = pd::train_fleet_rank(
+            model, data, six, r,
+            [&world, &six, r] {
+              return std::make_unique<pd::ThreadCommunicator>(world, r,
+                                                              six.collective);
+            },
+            &stop, hook);
+      });
+    }
+    ranks.clear();  // join
+    for (const auto& s : stats) {
+      EXPECT_TRUE(s.stopped);
+      EXPECT_EQ(s.steps, 3);
+    }
+  }
+
+  auto four = batch12_fleet(4);
+  four.checkpoint_dir = dir;
+  pn::UNet resumed(tiny_model());
+  const auto stats = pd::train_fleet(resumed, data, four);
+  EXPECT_EQ(stats.resumed_from, 3);
+  EXPECT_EQ(stats.steps, 1);
+  EXPECT_EQ(stats.checkpoint_corrupt, 0);
+  EXPECT_EQ(flat_params(resumed), flat_params(reference));
 }
 
 // Kill-and-resume determinism, single-rank edition: a rank that dies
@@ -256,6 +332,45 @@ TEST(FleetTrainer, StopVoteExitsCleanlyWithCheckpoint) {
   EXPECT_TRUE(stats.stopped);
   EXPECT_EQ(stats.steps, 0);
   EXPECT_GE(stats.checkpoints_written, 1);
+}
+
+// Training makes progress: on a learnable striped dataset, the global
+// mean loss of the last step of epoch 6 is below that of the last step of
+// epoch 1 (a 1-epoch run of the same trajectory).
+TEST(FleetTrainer, LossDecreasesAcrossEpochs) {
+  pn::SegDataset data;
+  polarice::util::Rng rng(88);
+  constexpr int kSize = 8;
+  for (int s = 0; s < 16; ++s) {
+    pn::SegSample sample;
+    sample.image = polarice::tensor::Tensor({3, kSize, kSize});
+    sample.labels.resize(kSize * kSize);
+    for (int y = 0; y < kSize; ++y) {
+      for (int x = 0; x < kSize; ++x) {
+        const int cls = x * 3 / kSize;
+        sample.labels[y * kSize + x] = cls;
+        for (int c = 0; c < 3; ++c) {
+          sample.image[(c * kSize + y) * kSize + x] =
+              (c == cls ? 0.8f : 0.1f) +
+              static_cast<float>(rng.uniform(-0.05, 0.05));
+        }
+      }
+    }
+    data.add(std::move(sample));
+  }
+
+  auto config = tiny_fleet(/*world_size=*/4, /*batch_per_device=*/2);
+  config.model.num_classes = 3;
+  config.learning_rate = 3e-3f;
+  std::vector<float> final_losses;
+  for (const int epochs : {1, 6}) {
+    config.epochs = epochs;
+    pn::UNet model(config.model);
+    const auto stats = pd::train_fleet(model, data, config);
+    EXPECT_EQ(stats.steps, 2 * epochs);  // 16 samples / global batch 8
+    final_losses.push_back(stats.final_loss);
+  }
+  EXPECT_LT(final_losses[1], final_losses[0]);
 }
 
 // A fleet that can never form (no peer ever dials in) must surface a typed

@@ -1,28 +1,20 @@
-// Distributed-training substrate tests: channels, ring allreduce
-// correctness for all world sizes, broadcast, collective deadline
-// enforcement on a VirtualClock, tree-allreduce world-size invariance,
-// distributed optimizer equivalence with single-device training, and the
-// DGX device model.
+// Distributed-training substrate tests: channels, broadcast, collective
+// deadline enforcement on a VirtualClock, the canonical-tree allreduce
+// (correct, bitwise identical across ranks and across world sizes 1-8),
+// and the DGX device model.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <numeric>
 #include <thread>
 
 #include "ddp/communicator.h"
 #include "ddp/device_model.h"
-#include "ddp/distributed_optimizer.h"
-#include "ddp/distributed_trainer.h"
-#include "nn/trainer.h"
 #include "util/rng.h"
 #include "util/virtual_clock.h"
 
 namespace pd = polarice::ddp;
-namespace pn = polarice::nn;
-namespace pt = polarice::tensor;
 using namespace std::chrono_literals;
 
 namespace {
@@ -55,22 +47,6 @@ TEST(World, RejectsBadConstruction) {
   EXPECT_THROW(world.channel(0, -1), std::out_of_range);
 }
 
-TEST(World, BarrierSynchronizesAllRanks) {
-  const int n = 4;
-  std::atomic<int> arrived{0};
-  std::atomic<bool> violated{false};
-  run_world(n, [&](int, pd::Communicator& comm) {
-    for (int round = 0; round < 10; ++round) {
-      ++arrived;
-      comm.barrier();
-      // After the barrier, all n ranks of this round must have arrived.
-      if (arrived.load() < n * (round + 1)) violated = true;
-      comm.barrier();
-    }
-  });
-  EXPECT_FALSE(violated.load());
-}
-
 // Regression (ISSUE 10 satellite): no in-process collective path may block
 // forever. The waits below sit on a FROZEN VirtualClock — only an explicit
 // advance past the deadline may release them, proving the timeout verdict
@@ -95,29 +71,6 @@ TEST(Channel, RecvTimesOutTypedOnVirtualClock) {
   clock.advance(100ms);
   waiter.join();
   EXPECT_TRUE(timed_out.load());
-}
-
-TEST(World, BarrierTimesOutTypedWhenARankNeverArrives) {
-  polarice::util::VirtualClock clock;
-  pd::World world(2, &clock);  // rank 1 never shows up
-  std::atomic<bool> timed_out{false};
-  std::jthread waiter([&] {
-    try {
-      world.barrier(clock.now() + 10ms);
-    } catch (const pd::CollectiveTimeout&) {
-      timed_out = true;
-    }
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(timed_out.load());
-  clock.advance(50ms);
-  waiter.join();
-  EXPECT_TRUE(timed_out.load());
-
-  // The timed-out arrival was withdrawn: a later, complete round still
-  // needs both ranks and still succeeds.
-  std::jthread a([&] { world.barrier(clock.now() + 10ms); });
-  std::jthread b([&] { world.barrier(clock.now() + 10ms); });
 }
 
 TEST(ThreadCommunicator, RecvSurfacesCollectiveTimeoutFromOptions) {
@@ -155,64 +108,6 @@ TEST(Communicator, SendRecvPointToPoint) {
   });
 }
 
-// Property: ring allreduce equals the per-element sum for all world sizes
-// and buffer lengths (including lengths not divisible by the world size).
-class AllreduceSweep
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(AllreduceSweep, SumMatchesReference) {
-  const auto [world_size, count] = GetParam();
-  std::vector<std::vector<float>> buffers(world_size);
-  std::vector<float> expected(count, 0.0f);
-  polarice::util::Rng rng(1234 + world_size * 100 + count);
-  for (int r = 0; r < world_size; ++r) {
-    buffers[r].resize(count);
-    for (int i = 0; i < count; ++i) {
-      buffers[r][i] = static_cast<float>(rng.uniform(-1, 1));
-      expected[i] += buffers[r][i];
-    }
-  }
-  run_world(world_size, [&](int rank, pd::Communicator& comm) {
-    comm.ring_allreduce_sum(buffers[rank].data(), buffers[rank].size());
-  });
-  for (int r = 0; r < world_size; ++r) {
-    for (int i = 0; i < count; ++i) {
-      ASSERT_NEAR(buffers[r][i], expected[i], 1e-4f)
-          << "rank " << r << " index " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorldsAndSizes, AllreduceSweep,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 8),
-                       ::testing::Values(1, 7, 64, 1000)));
-
-TEST(Allreduce, AverageDividesByWorldSize) {
-  const int n = 4;
-  std::vector<std::vector<float>> buffers(n, std::vector<float>{8.0f});
-  run_world(n, [&](int rank, pd::Communicator& comm) {
-    comm.ring_allreduce_average(buffers[rank].data(), 1);
-  });
-  for (int r = 0; r < n; ++r) EXPECT_FLOAT_EQ(buffers[r][0], 8.0f);
-}
-
-TEST(Allreduce, AllRanksBitwiseIdentical) {
-  // The ring applies additions in the same order on every rank, so the
-  // results must agree bitwise, not just approximately.
-  const int n = 5, count = 333;
-  std::vector<std::vector<float>> buffers(n);
-  polarice::util::Rng rng(9);
-  for (auto& b : buffers) {
-    b.resize(count);
-    for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  }
-  run_world(n, [&](int rank, pd::Communicator& comm) {
-    comm.ring_allreduce_sum(buffers[rank].data(), count);
-  });
-  for (int r = 1; r < n; ++r) EXPECT_EQ(buffers[r], buffers[0]);
-}
-
 TEST(Broadcast, CopiesRootToAllRanks) {
   const int n = 4;
   std::vector<std::vector<float>> buffers(n);
@@ -226,57 +121,90 @@ TEST(Broadcast, CopiesRootToAllRanks) {
   }
 }
 
-// The fleet trainer's determinism rests on this: the halving-doubling tree
-// allreduce applies the identical canonical summation tree at every
-// power-of-two world size, provided each rank pre-folds its contiguous
-// block with tree_fold. 8 contributions reduced by 1, 2, 4, or 8 ranks
-// must agree BITWISE.
-TEST(TreeAllreduce, BitIdenticalAcrossWorldSizes) {
-  const int contributions = 8, count = 257;
-  std::vector<std::vector<float>> source(contributions);
-  polarice::util::Rng rng(42);
-  for (auto& b : source) {
-    b.resize(count);
-    for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
+namespace {
+/// Reduces `contributions` with the canonical-tree allreduce on
+/// `world_size` rank threads, each holding a contiguous block of them;
+/// returns every rank's result.
+std::vector<std::vector<float>> tree_reduce(
+    const std::vector<std::vector<float>>& contributions, int world_size) {
+  const std::size_t per_rank = contributions.size() / world_size;
+  std::vector<std::vector<std::vector<float>>> leaves(world_size);
+  for (int r = 0; r < world_size; ++r) {
+    leaves[r].assign(contributions.begin() + r * per_rank,
+                     contributions.begin() + (r + 1) * per_rank);
   }
-
-  std::vector<std::vector<float>> results;  // one per world size
-  for (const int world_size : {1, 2, 4, 8}) {
-    const int per_rank = contributions / world_size;
-    std::vector<std::vector<float>> local(world_size);
-    for (int r = 0; r < world_size; ++r) {
-      // Each rank folds its contiguous block along the canonical tree...
-      std::vector<std::vector<float>> block(
-          source.begin() + r * per_rank,
-          source.begin() + (r + 1) * per_rank);
-      pd::tree_fold(block);
-      local[r] = block[0];
-    }
-    // ...and the cross-rank reduce continues the same tree upward.
-    run_world(world_size, [&](int rank, pd::Communicator& comm) {
-      comm.tree_allreduce_sum(local[rank].data(), local[rank].size());
-    });
-    for (int r = 1; r < world_size; ++r) EXPECT_EQ(local[r], local[0]);
-    results.push_back(local[0]);
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "world size index " << i;
-  }
-}
-
-TEST(TreeAllreduce, RejectsNonPowerOfTwoWorlds) {
-  run_world(3, [](int, pd::Communicator& comm) {
-    std::vector<float> buf(4, 1.0f);
-    EXPECT_THROW(comm.tree_allreduce_sum(buf.data(), buf.size()),
-                 std::invalid_argument);
+  run_world(world_size, [&](int rank, pd::Communicator& comm) {
+    comm.tree_allreduce_sum(leaves[rank]);
   });
+  std::vector<std::vector<float>> results;
+  for (auto& rank_leaves : leaves) results.push_back(rank_leaves[0]);
+  return results;
+}
+}  // namespace
+
+// Property: for one fixed set of 840 contributions (divisible by every
+// world size 1-8), the tree allreduce matches the per-element sum, agrees
+// BITWISE on every rank, and agrees BITWISE with the single-rank fold —
+// the summation order depends only on the contribution count. The fleet
+// trainer's world-size invariance rests on this.
+class AllreduceSweep
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(AllreduceSweep, BitIdenticalAcrossRanksAndWorldSizes) {
+  const auto [world_size, count] = GetParam();
+  constexpr int kContributions = 840;
+  std::vector<std::vector<float>> contributions(kContributions);
+  std::vector<double> expected(count, 0.0);
+  polarice::util::Rng rng(1234 + count);
+  for (auto& c : contributions) {
+    c.resize(count);
+    for (int i = 0; i < count; ++i) {
+      c[i] = static_cast<float>(rng.uniform(-1, 1));
+      expected[i] += c[i];
+    }
+  }
+  const auto single = tree_reduce(contributions, 1)[0];
+  const auto results = tree_reduce(contributions, world_size);
+  for (int r = 0; r < world_size; ++r) {
+    EXPECT_EQ(results[r], single) << "rank " << r;
+  }
+  for (int i = 0; i < count; ++i) {
+    ASSERT_NEAR(single[i], expected[i], 1e-3) << "index " << i;
+  }
 }
 
-TEST(TreeFold, ValidatesShape) {
-  std::vector<std::vector<float>> three(3, std::vector<float>(2, 1.0f));
-  EXPECT_THROW(pd::tree_fold(three), std::invalid_argument);
-  std::vector<std::vector<float>> ragged{{1.0f, 2.0f}, {3.0f}};
-  EXPECT_THROW(pd::tree_fold(ragged), std::invalid_argument);
+INSTANTIATE_TEST_SUITE_P(
+    WorldsAndSizes, AllreduceSweep,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
+                       ::testing::Values(1, 7, 64, 1000)));
+
+// The tree's shape is fixed: node [lo, hi) splits at lo + (hi - lo) / 2
+// and sums left + right. With contributions {1, 1e8, -1e8} that is
+// 1 + (1e8 + -1e8) = 1, where a left-to-right sum would round to 0.
+TEST(TreeAllreduce, SplitsEveryNodeAtItsMidpoint) {
+  const std::vector<std::vector<float>> three{{1.0f}, {1e8f}, {-1e8f}};
+  for (const int world_size : {1, 3}) {
+    for (const auto& result : tree_reduce(three, world_size)) {
+      EXPECT_EQ(result[0], 1.0f) << "world " << world_size;
+    }
+  }
+  // Six leaves: (l0 + (l1 + l2)) + (l3 + (l4 + l5)).
+  const std::vector<std::vector<float>> six{{1.0f},  {1e8f}, {-1e8f},
+                                            {2.0f}, {1e8f}, {-1e8f}};
+  for (const int world_size : {1, 2, 3, 6}) {
+    for (const auto& result : tree_reduce(six, world_size)) {
+      EXPECT_EQ(result[0], 3.0f) << "world " << world_size;
+    }
+  }
+}
+
+TEST(TreeAllreduce, ValidatesShape) {
+  run_world(1, [](int, pd::Communicator& comm) {
+    std::vector<std::vector<float>> none;
+    EXPECT_THROW(comm.tree_allreduce_sum(none), std::invalid_argument);
+    std::vector<std::vector<float>> ragged{{1.0f, 2.0f}, {3.0f}};
+    EXPECT_THROW(comm.tree_allreduce_sum(ragged), std::invalid_argument);
+  });
 }
 
 TEST(DeviceModel, ReproducesTable3Shape) {
@@ -305,130 +233,4 @@ TEST(DeviceModel, Validation) {
   EXPECT_THROW(pd::simulate_training(cfg, 1), std::invalid_argument);
   cfg = pd::DeviceModelConfig{};
   EXPECT_THROW(pd::simulate_training(cfg, 0), std::invalid_argument);
-}
-
-namespace {
-pn::UNetConfig tiny_config() {
-  pn::UNetConfig cfg;
-  cfg.depth = 1;
-  cfg.base_channels = 4;
-  cfg.use_dropout = false;  // determinism for the equivalence test
-  cfg.seed = 5;
-  return cfg;
-}
-
-pn::SegDataset striped_dataset(int n_samples, int size, std::uint64_t seed) {
-  polarice::util::Rng rng(seed);
-  pn::SegDataset data;
-  for (int s = 0; s < n_samples; ++s) {
-    pn::SegSample sample;
-    sample.image = pt::Tensor({3, size, size});
-    sample.labels.resize(static_cast<std::size_t>(size) * size);
-    for (int y = 0; y < size; ++y) {
-      for (int x = 0; x < size; ++x) {
-        const int cls = x * 3 / size;
-        sample.labels[y * size + x] = cls;
-        for (int c = 0; c < 3; ++c) {
-          sample.image[(c * size + y) * size + x] =
-              (c == cls ? 0.8f : 0.1f) +
-              static_cast<float>(rng.uniform(-0.05, 0.05));
-        }
-      }
-    }
-    data.add(std::move(sample));
-  }
-  return data;
-}
-}  // namespace
-
-TEST(DistributedOptimizer, GuardsNulls) {
-  auto world = std::make_shared<pd::World>(1);
-  pd::ThreadCommunicator comm(world, 0);
-  EXPECT_THROW(pd::DistributedOptimizer(nullptr, &comm),
-               std::invalid_argument);
-  pt::Tensor v({2}), g({2});
-  auto opt = std::make_unique<pn::Sgd>(
-      std::vector<pn::Param>{{"p", &v, &g}}, 0.1f);
-  EXPECT_THROW(pd::DistributedOptimizer(std::move(opt), nullptr),
-               std::invalid_argument);
-}
-
-TEST(DistributedTrainer, TwoRanksMatchSingleDeviceWithDoubleBatch) {
-  // Gradient averaging across 2 ranks with per-device batch B must equal a
-  // single device with batch 2B (same init, shuffle off, no dropout).
-  const auto data = striped_dataset(8, 8, 77);
-
-  pn::UNet single(tiny_config());
-  pn::TrainConfig tc;
-  tc.epochs = 2;
-  tc.batch_size = 8;  // global batch
-  tc.learning_rate = 1e-3f;
-  // Trainer shuffles; replicate its exact stream via shuffle-off distributed
-  // run, so train single-device manually without shuffling:
-  {
-    pn::DataLoader loader(data, tc.batch_size, 0, /*shuffle=*/false);
-    pn::Adam opt(single.params(), tc.learning_rate);
-    pt::Tensor logits, probs, dlogits;
-    pn::Batch batch;
-    for (int e = 0; e < tc.epochs; ++e) {
-      loader.start_epoch();
-      while (loader.next(batch)) {
-        opt.zero_grad();
-        single.forward(batch.x, logits, true);
-        pt::softmax_cross_entropy(logits, batch.targets, probs, dlogits);
-        single.backward(dlogits);
-        opt.step();
-      }
-    }
-  }
-
-  pn::UNet distributed(tiny_config());
-  pd::DistributedTrainConfig dc;
-  dc.world_size = 2;
-  dc.epochs = 2;
-  dc.batch_per_device = 4;  // 2 x 4 = global batch 8
-  dc.learning_rate = 1e-3f;
-  dc.shuffle = false;
-  pd::train_distributed(distributed, data, dc);
-
-  // Compare parameters. Note: gradient averaging = mean over the global
-  // batch only when both halves contribute equally — with round-robin
-  // sharding and batch 4 vs global batch 8 they do (pixel counts match).
-  auto sp = single.params();
-  auto dp = distributed.params();
-  ASSERT_EQ(sp.size(), dp.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    for (std::int64_t j = 0; j < sp[i].value->numel(); ++j) {
-      max_diff = std::max(
-          max_diff, std::abs(double((*sp[i].value)[j]) - (*dp[i].value)[j]));
-    }
-  }
-  EXPECT_LT(max_diff, 5e-4);  // float summation-order differences only
-}
-
-TEST(DistributedTrainer, LossDecreasesAcrossEpochs) {
-  const auto data = striped_dataset(8, 8, 88);
-  pn::UNet model(tiny_config());
-  pd::DistributedTrainConfig dc;
-  dc.world_size = 4;
-  dc.epochs = 6;
-  dc.batch_per_device = 2;
-  dc.learning_rate = 3e-3f;
-  const auto stats = pd::train_distributed(model, data, dc);
-  ASSERT_EQ(stats.epoch_loss.size(), 6u);
-  EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss.front());
-  EXPECT_GT(stats.images_per_s, 0.0);
-  EXPECT_EQ(stats.images_processed, 8 * 6);  // all samples, every epoch
-}
-
-TEST(DistributedTrainer, Validation) {
-  const auto data = striped_dataset(2, 8, 99);
-  pn::UNet model(tiny_config());
-  pd::DistributedTrainConfig dc;
-  dc.world_size = 0;
-  EXPECT_THROW(pd::train_distributed(model, data, dc), std::invalid_argument);
-  dc = pd::DistributedTrainConfig{};
-  dc.world_size = 4;  // more ranks than samples
-  EXPECT_THROW(pd::train_distributed(model, data, dc), std::invalid_argument);
 }

@@ -11,11 +11,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
-#include "core/serve/scene_server.h"
-#include "core/serve/shard/protocol.h"
 #include "img/image.h"
 #include "net/wire.h"
 
@@ -85,97 +82,13 @@ TEST(NetWire, ImageF32RoundTripsBitExactly) {
   }
 }
 
-TEST(NetWire, GeometryAndOptionsRoundTrip) {
+TEST(NetWire, GeometryRoundTrip) {
   SceneGeometry geometry{640, 480, 3, 64, 10, 8};
   WireWriter writer;
   put_geometry(writer, geometry);
   WireReader reader(writer.bytes());
   EXPECT_EQ(get_geometry(reader), geometry);
   reader.expect_end();
-
-  core::serve::SubmitOptions options;
-  options.priority = core::serve::Priority::kInteractive;
-  options.deadline = std::chrono::milliseconds(750);
-  options.max_retries = 5;
-  WireWriter writer2;
-  put_submit_options(writer2, options);
-  WireReader reader2(writer2.bytes());
-  const auto back = get_submit_options(reader2);
-  reader2.expect_end();
-  EXPECT_EQ(back.priority, options.priority);
-  ASSERT_TRUE(back.deadline.has_value());
-  EXPECT_EQ(*back.deadline, *options.deadline);
-  EXPECT_EQ(back.max_retries, 5);
-
-  core::serve::SubmitOptions no_deadline;
-  WireWriter writer3;
-  put_submit_options(writer3, no_deadline);
-  WireReader reader3(writer3.bytes());
-  EXPECT_FALSE(get_submit_options(reader3).deadline.has_value());
-}
-
-TEST(NetWire, StatsRoundTrip) {
-  core::serve::SceneServerStats stats;
-  stats.submitted = 101;
-  stats.completed = 90;
-  stats.shed = 4;
-  stats.rejected = 7;
-  stats.cache_hits = 33;
-  stats.cache_warmed = 12;
-  stats.warm_hits = 11;
-  stats.cache_persisted = 29;
-  stats.cache_corrupt = 2;
-  stats.cache_stale = 1;
-  stats.degraded = 5;
-  stats.brownouts = 3;
-  stats.brownout_active = true;
-  stats.session.scenes = 90;
-  stats.session.tiles = 1440;
-  stats.session.busy_seconds = 1.25;
-  stats.session.peak_leases = 3;
-
-  WireWriter writer;
-  put_stats(writer, stats);
-  WireReader reader(writer.bytes());
-  const auto back = get_stats(reader);
-  reader.expect_end();
-  EXPECT_EQ(back.submitted, 101u);
-  EXPECT_EQ(back.completed, 90u);
-  EXPECT_EQ(back.shed, 4u);
-  EXPECT_EQ(back.rejected, 7u);
-  EXPECT_EQ(back.cache_hits, 33u);
-  EXPECT_EQ(back.cache_warmed, 12u);
-  EXPECT_EQ(back.warm_hits, 11u);
-  EXPECT_EQ(back.cache_persisted, 29u);
-  EXPECT_EQ(back.cache_corrupt, 2u);
-  EXPECT_EQ(back.cache_stale, 1u);
-  EXPECT_EQ(back.degraded, 5u);
-  EXPECT_EQ(back.brownouts, 3u);
-  EXPECT_TRUE(back.brownout_active);
-  EXPECT_EQ(back.session.scenes, 90u);
-  EXPECT_EQ(back.session.tiles, 1440u);
-  EXPECT_DOUBLE_EQ(back.session.busy_seconds, 1.25);
-  EXPECT_EQ(back.session.peak_leases, 3u);
-}
-
-// The v2 wire additions: SubmitResponse's degraded flag round-trips, and a
-// decoder rejects out-of-range flag bytes instead of inventing state.
-TEST(NetWire, SubmitResponseDegradedFlagRoundTrip) {
-  namespace shard = polarice::core::serve::shard;
-  shard::SubmitResponse response;
-  response.request_id = 77;
-  response.outcome = shard::Outcome::kOk;
-  response.plane = pattern_scene(6, 4, 1);
-  response.degraded = true;
-
-  const auto back = shard::decode_submit_response(encode(response));
-  EXPECT_EQ(back.request_id, 77u);
-  EXPECT_EQ(back.outcome, shard::Outcome::kOk);
-  EXPECT_TRUE(back.degraded);
-  EXPECT_EQ(back.plane, response.plane);
-
-  response.degraded = false;
-  EXPECT_FALSE(shard::decode_submit_response(encode(response)).degraded);
 }
 
 TEST(NetWire, FrameRoundTrip) {
@@ -348,75 +261,6 @@ TEST(NetWire, ChecksumMismatchIsTyped) {
   auto bytes = encode_frame(MsgType::kSubmitResponse, writer.bytes());
   bytes[kFrameHeaderBytes] ^= 0x01;  // first payload byte
   EXPECT_THROW((void)decode_frame(bytes), WireChecksumError);
-}
-
-// ---- v3 wire additions: tracing and the metrics scrape path ----
-
-TEST(NetWire, SubmitOptionsTraceIdRoundTrip) {
-  core::serve::SubmitOptions options;
-  options.trace_id = 0x0123456789ABCDEFull;
-  WireWriter writer;
-  put_submit_options(writer, options);
-  WireReader reader(writer.bytes());
-  EXPECT_EQ(get_submit_options(reader).trace_id, 0x0123456789ABCDEFull);
-  reader.expect_end();
-
-  // 0 is the "unassigned, mint me one" sentinel and must survive as-is.
-  core::serve::SubmitOptions unassigned;
-  WireWriter writer2;
-  put_submit_options(writer2, unassigned);
-  WireReader reader2(writer2.bytes());
-  EXPECT_EQ(get_submit_options(reader2).trace_id, 0u);
-}
-
-TEST(NetWire, HeartbeatResponseUptimeAndBrownoutRoundTrip) {
-  namespace shard = polarice::core::serve::shard;
-  shard::HeartbeatResponse response;
-  response.queue_depth = 9;
-  response.accepting = true;
-  response.uptime_seconds = 123.5;
-  response.brownout_active = true;
-  response.stats.completed = 40;
-
-  const auto back = shard::decode_heartbeat_response(encode(response));
-  EXPECT_EQ(back.queue_depth, 9u);
-  EXPECT_TRUE(back.accepting);
-  EXPECT_DOUBLE_EQ(back.uptime_seconds, 123.5);
-  EXPECT_TRUE(back.brownout_active);
-  EXPECT_EQ(back.stats.completed, 40u);
-
-  response.brownout_active = false;
-  response.uptime_seconds = 0.0;  // a just-born worker is legal
-  const auto young = shard::decode_heartbeat_response(encode(response));
-  EXPECT_FALSE(young.brownout_active);
-  EXPECT_DOUBLE_EQ(young.uptime_seconds, 0.0);
-}
-
-TEST(NetWire, HeartbeatResponseRejectsNegativeOrNaNUptime) {
-  namespace shard = polarice::core::serve::shard;
-  shard::HeartbeatResponse response;
-  response.uptime_seconds = -1.0;
-  EXPECT_THROW((void)shard::decode_heartbeat_response(encode(response)),
-               WireError);
-  response.uptime_seconds = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)shard::decode_heartbeat_response(encode(response)),
-               WireError);
-}
-
-TEST(NetWire, MetricsResponseRoundTrip) {
-  namespace shard = polarice::core::serve::shard;
-  shard::MetricsResponse response;
-  response.uptime_seconds = 42.25;
-  response.text =
-      "serve_completed_total 7\nserve_e2e_seconds_bucket{le=\"+Inf\"} 7\n";
-
-  const auto back = shard::decode_metrics_response(encode(response));
-  EXPECT_DOUBLE_EQ(back.uptime_seconds, 42.25);
-  EXPECT_EQ(back.text, response.text);
-
-  response.uptime_seconds = -0.5;
-  EXPECT_THROW((void)shard::decode_metrics_response(encode(response)),
-               WireError);
 }
 
 // Explicit cross-version guard beyond the generic bit-flip test: a frame

@@ -66,7 +66,8 @@ TEST(ObsMetrics, SnapshotDuringIncrementsIsMonotonicAndBounded) {
     last = sample->value;
   }
   writer.join();
-  EXPECT_EQ(registry.snapshot().find_counter("inflight_work")->value, kTotal);
+  const auto final_snapshot = registry.snapshot();
+  EXPECT_EQ(final_snapshot.find_counter("inflight_work")->value, kTotal);
 }
 
 TEST(ObsMetrics, HistogramBoundaryValuesLandInBoundingBucket) {
@@ -216,16 +217,19 @@ TEST(ObsMetrics, CallbackGaugesSampleAtSnapshotAndSumDuplicates) {
         registry.register_gauge("leases", [&a] { return a; });
     GaugeHandle handle_b = registry.register_gauge("leases", [] { return 2.0; });
 
-    const auto* sample = registry.snapshot().find_gauge("leases");
+    const auto snapshot = registry.snapshot();
+    const auto* sample = snapshot.find_gauge("leases");
     ASSERT_NE(sample, nullptr);
     EXPECT_DOUBLE_EQ(sample->value, 5.0);  // duplicates sum
 
     a = 10.0;  // sampled at snapshot time, not registration time
-    EXPECT_DOUBLE_EQ(registry.snapshot().find_gauge("leases")->value, 12.0);
+    const auto resampled = registry.snapshot();
+    EXPECT_DOUBLE_EQ(resampled.find_gauge("leases")->value, 12.0);
   }
   // Both handles out of scope: the gauge is gone, not stuck at its last
   // value.
-  EXPECT_EQ(registry.snapshot().find_gauge("leases"), nullptr);
+  const auto after_release = registry.snapshot();
+  EXPECT_EQ(after_release.find_gauge("leases"), nullptr);
 }
 
 TEST(ObsMetrics, HistogramDeltaScopesAWindow) {
@@ -256,7 +260,8 @@ TEST(ObsMetrics, CompiledOutMutatorsAreNoOps) {
   registry.counter("c").add(5);
   EXPECT_EQ(registry.counter("c").value(), 0u);
   registry.histogram("h").observe(1.0);
-  EXPECT_EQ(registry.snapshot().find_histogram("h")->count, 0u);
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.find_histogram("h")->count, 0u);
 }
 
 #endif  // POLARICE_METRICS

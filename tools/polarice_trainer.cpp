@@ -18,11 +18,12 @@
 //
 // Flags (all validated; malformed values exit 2 with the reason):
 //   --rank N             required; this rank's id in [0, world)
-//   --world N            ranks in the fleet, power of two (default 1)
+//   --world N            ranks in the fleet, any size (default 1)
 //   --socket_dir PATH    required; rendezvous directory for rank sockets
 //   --checkpoint_dir P   durable checkpoint dir (default off; rank 0 only)
 //   --epochs N           training epochs         (default 2)
-//   --batch N            per-rank batch, power of two (default 2)
+//   --batch N            per-rank batch; global batch = batch x world
+//                        (default 2)
 //   --lr X               Adam learning rate      (default 1e-3)
 //   --seed N             shuffle/fingerprint seed (default 7)
 //   --checkpoint_every N rank-0 checkpoint cadence in steps (default 8)
