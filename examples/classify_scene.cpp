@@ -1,8 +1,9 @@
 // Fig 9 inference end-to-end, serving-style: train a compact U-Net on
-// auto-labeled data, stand up an InferenceSession (N model replicas behind
-// one thread-safe API), and classify several brand-new cloudy scenes
-// concurrently — filter, tile, batched inference, stitch — writing the
-// colorized classification of the first scene next to the truth.
+// auto-labeled data, stand up a serve::SceneServer (up to N model replicas
+// behind one thread-safe API), and classify several brand-new cloudy scenes
+// concurrently — filter, tile, cross-scene batched inference, stitch —
+// writing the colorized classification of the first scene next to the
+// truth.
 //
 //   ./classify_scene [--scene_size=256] [--epochs=6] [--scenes=3]
 //                    [--replicas=2] [--out=classified]
@@ -10,13 +11,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 #include <vector>
 
 #include "core/corpus.h"
 #include "core/dataset_builder.h"
-#include "core/inference_session.h"
-#include "core/workflow.h"
+#include "core/serve/scene_server.h"
 #include "img/io.h"
 #include "metrics/metrics.h"
 #include "nn/trainer.h"
@@ -64,14 +63,15 @@ int main(int argc, char** argv) {
               history.back().mean_loss,
               100 * history.back().pixel_accuracy);
 
-  // 3. Stand up the serving session: replicas of the trained weights behind
-  // one thread-safe classify_scene(). The source model could keep training;
-  // the session owns its own copies.
-  core::InferenceSessionConfig session_cfg;
-  session_cfg.tile_size = 64;
-  session_cfg.replicas = static_cast<int>(args.get_int("replicas", 2));
-  session_cfg.batch_tiles = 8;
-  core::InferenceSession session(model, session_cfg);
+  // 3. Stand up the scene server: replicas of the trained weights behind
+  // one thread-safe submit(). The source model could keep training; the
+  // server owns its own copies.
+  core::serve::SceneServerConfig server_cfg;
+  server_cfg.tile_size = 64;
+  server_cfg.max_replicas =
+      std::max(1, static_cast<int>(args.get_int("replicas", 2)));
+  server_cfg.batch_tiles = 8;
+  core::serve::SceneServer server(model, server_cfg, ctx);
 
   // 4. Classify fresh cloudy scenes (unseen seeds) concurrently.
   std::vector<s2::Scene> scenes;
@@ -82,14 +82,14 @@ int main(int argc, char** argv) {
     sc.cloudy = true;
     scenes.push_back(s2::SceneGenerator(sc).generate());
   }
-  std::vector<img::ImageU8> predictions(scenes.size());
-  {
-    std::vector<std::jthread> callers;
-    for (std::size_t i = 0; i < scenes.size(); ++i) {
-      callers.emplace_back(
-          [&, i] { predictions[i] = session.classify_scene(scenes[i].rgb); });
-    }
+  // Submit every scene before waiting on any: the server batches tiles
+  // across scenes and grows replicas while the backlog lasts.
+  std::vector<core::serve::SceneTicket> tickets;
+  for (const auto& scene : scenes) {
+    tickets.push_back(server.submit(scene.rgb.clone()));
   }
+  std::vector<img::ImageU8> predictions;
+  for (const auto& ticket : tickets) predictions.push_back(ticket.get());
   for (std::size_t i = 0; i < scenes.size(); ++i) {
     std::vector<int> truth, pred;
     for (const auto v : scenes[i].labels) truth.push_back(v);
@@ -98,9 +98,11 @@ int main(int argc, char** argv) {
                 100 * metrics::pixel_accuracy(truth, pred),
                 100 * scenes[i].cloud_cover_fraction());
   }
-  const auto stats = session.stats();
-  std::printf("session served %zu scenes / %zu tiles with %d replicas\n",
-              stats.scenes, stats.tiles, session_cfg.replicas);
+  const auto stats = server.stats();
+  std::printf("server classified %zu scenes / %zu tiles in %zu batches "
+              "with up to %d replicas\n",
+              stats.session.scenes, stats.session.tiles, stats.batches,
+              stats.peak_replicas);
 
   img::write_ppm(out_dir + "/scene.ppm", scenes[0].rgb);
   img::write_ppm(out_dir + "/truth.ppm",

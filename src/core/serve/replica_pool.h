@@ -1,7 +1,6 @@
 #pragma once
-// ReplicaPool — the replica-lease discipline that used to live inside
-// InferenceSession, extracted so both the session and the SceneServer share
-// one implementation, and extended with elastic sizing.
+// ReplicaPool — the SceneServer's replica-lease discipline, with elastic
+// sizing.
 //
 // The pool owns `size()` U-Net replicas (weights cloned once from the
 // source model, which is not retained). A Lease removes one replica from

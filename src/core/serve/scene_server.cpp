@@ -51,7 +51,6 @@ struct TicketState {
   int orig_w = 0, orig_h = 0;
   int tiles_x = 0, tiles_y = 0;
   SceneKey key;
-  bool keyed = false;     // key computed (cache and/or single-flight on)
   bool cacheable = false;
   // Brownout: scheduler decided to run this scene degraded. The scene is
   // downscaled to scaled_w x scaled_h before tiling and the label plane
@@ -210,6 +209,10 @@ void SceneServerConfig::validate() const {
 }
 
 namespace {
+// SLO-breach trace retention: the sampler keeps this many slowest completed
+// traces plus this many shed/failed/cancelled ones (slow_traces()).
+constexpr std::size_t kTraceCapacity = 16;
+
 const SceneServerConfig& validated(const SceneServerConfig& config,
                                    const nn::UNet& model) {
   config.validate();
@@ -233,7 +236,7 @@ SceneServer::SceneServer(nn::UNet& model, SceneServerConfig config,
       brownout_(config.brownout, clock_),
       queue_(config.admission, clock_),
       obs_(obs::ServeInstruments::get()),
-      tracer_(config.trace_capacity) {
+      tracer_(kTraceCapacity) {
   // Warm from the persistent tier before any server thread exists, so the
   // warmed_ set is published to the scheduler by the thread starts below.
   // A locked or unusable directory throws out of the constructor — a
@@ -340,14 +343,6 @@ SceneTicket SceneServer::submit(img::ImageU8 scene,
   if (options.max_retries < -1) {
     throw std::invalid_argument("SceneServer: max_retries < -1");
   }
-  const int ts = config_.tile_size;
-  const bool partial = scene.width() % ts != 0 || scene.height() % ts != 0;
-  if (partial && !config_.pad_partial_tiles) {
-    throw std::invalid_argument(
-        "SceneServer: scene size must be a tile multiple "
-        "(or enable pad_partial_tiles)");
-  }
-
   auto state = std::make_shared<TicketState>();
   state->scene = std::move(scene);
   state->ctx = ctx;
@@ -489,59 +484,49 @@ void SceneServer::prepare(const std::shared_ptr<TicketState>& ticket) {
   const bool degrade =
       brownout_.active() && t.priority == Priority::kBatch;
 
+  // Every scene is hashed: the key drives both the result cache and
+  // single-flight coalescing.
+  t.key = hash_scene(t.scene);
   const bool use_cache = cache_.byte_budget() > 0;
-  if (use_cache || config_.single_flight) {
-    t.key = hash_scene(t.scene);
-    t.keyed = true;
-    t.cacheable = use_cache;
-    // Result cache: a content-identical finished scene skips the forward
-    // path entirely. Probed even for a to-be-degraded scene — a cached
-    // full-quality plane is strictly better than a fresh degraded one.
-    if (use_cache) {
-      auto hit = cache_.lookup(t.key);
-      const bool warm = hit && warmed_.contains(t.key);
-      {
-        // Mirror the hit/miss into the server's own counter set (the cache
-        // keeps its own) so snapshot() is single-lock consistent.
-        const std::scoped_lock lock(stats_mutex_);
-        if (hit) {
-          ++counters_.cache_hits;
-          if (warm) ++counters_.warm_hits;
-        } else {
-          ++counters_.cache_misses;
-        }
-      }
-      (hit ? obs_.cache_hits : obs_.cache_misses)->add();
+  // Degraded planes never enter the cache or the single-flight table: a
+  // full-quality submission must not be answered by (or coalesced onto) an
+  // approximate result.
+  t.cacheable = use_cache && !degrade;
+  // Result cache: a content-identical finished scene skips the forward path
+  // entirely. Probed even for a to-be-degraded scene — a cached
+  // full-quality plane is strictly better than a fresh degraded one.
+  if (use_cache) {
+    auto hit = cache_.lookup(t.key);
+    const bool warm = hit && warmed_.contains(t.key);
+    {
+      // Mirror the hit/miss into the server's own counter set (the cache
+      // keeps its own) so snapshot() is single-lock consistent.
+      const std::scoped_lock lock(stats_mutex_);
       if (hit) {
-        if (t.claim()) {
-          // Counters first: a caller returning from get() must already see
-          // this scene in stats().
-          {
-            const std::scoped_lock lock(stats_mutex_);
-            ++counters_.completed;
-          }
-          obs_.completed->add();
-          const auto resolved_at = clock_->now();
-          obs_.e2e->observe(
-              std::chrono::duration<double>(resolved_at - t.submitted_at)
-                  .count());
-          if (t.trace != nullptr) t.trace->add_span("cache", picked_up, resolved_at);
-          record_trace(t, "completed");
-          t.publish(std::move(*hit), nullptr);
-        }
-        retire_pending();
-        return;
+        ++counters_.cache_hits;
+        if (warm) ++counters_.warm_hits;
+      } else {
+        ++counters_.cache_misses;
       }
     }
-    if (degrade) {
-      // Degraded planes never enter the cache or the single-flight table:
-      // a full-quality submission must not be answered by (or coalesced
-      // onto) an approximate result.
-      t.cacheable = false;
-    } else if (config_.single_flight && attach_or_lead(ticket)) {
-      // Single-flight: a content-identical scene still mid-flight shares
-      // the leader's forward passes; this ticket resolves when the leader
-      // does.
+    (hit ? obs_.cache_hits : obs_.cache_misses)->add();
+    if (hit) {
+      if (t.claim()) {
+        // Counters first: a caller returning from get() must already see
+        // this scene in stats().
+        {
+          const std::scoped_lock lock(stats_mutex_);
+          ++counters_.completed;
+        }
+        obs_.completed->add();
+        const auto resolved_at = clock_->now();
+        obs_.e2e->observe(
+            std::chrono::duration<double>(resolved_at - t.submitted_at)
+                .count());
+        if (t.trace != nullptr) t.trace->add_span("cache", picked_up, resolved_at);
+        record_trace(t, "completed");
+        t.publish(std::move(*hit), nullptr);
+      }
       retire_pending();
       return;
     }
@@ -550,6 +535,11 @@ void SceneServer::prepare(const std::shared_ptr<TicketState>& ticket) {
   if (degrade) {
     t.degrade = true;
     t.degrade_stride = config_.brownout.degrade_stride;
+  } else if (attach_or_lead(ticket)) {
+    // Single-flight: a content-identical scene still mid-flight shares the
+    // leader's forward passes; this ticket resolves when the leader does.
+    retire_pending();
+    return;
   }
   fan_out(ticket);
   retire_pending();
@@ -576,7 +566,8 @@ bool SceneServer::attach_or_lead(const std::shared_ptr<TicketState>& ticket) {
 
 std::vector<std::shared_ptr<TicketState>> SceneServer::take_followers(
     const std::shared_ptr<TicketState>& ticket) {
-  if (!config_.single_flight || !ticket->keyed) return {};
+  // The leader check also covers tickets resolved before prepare() hashed
+  // them: they never registered, whatever their default key matches.
   const std::scoped_lock lock(inflight_mutex_);
   auto it = inflight_.find(ticket->key);
   if (it == inflight_.end() || it->second.leader != ticket) return {};

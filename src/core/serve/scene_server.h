@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "core/cloud_filter.h"
-#include "core/inference_session.h"
 #include "core/serve/brownout.h"
 #include "core/serve/cache_store.h"
 #include "core/serve/fault_injector.h"
@@ -134,8 +133,6 @@ struct SceneServerConfig {
   int batch_tiles = 8;         // tiles per forward pass (any mix of scenes)
   int min_replicas = 1;        // replicas kept warm
   int max_replicas = 2;        // scale-up ceiling
-  bool pad_partial_tiles = true;  // edge-replicate ragged scenes (off:
-                                  // submit throws, matching the workflow)
   CloudFilterConfig filter;
   AdmissionConfig admission;   // submission-queue bound + full-queue policy
   // Dynamic batching: how long a worker tops up a partial batch before
@@ -160,15 +157,7 @@ struct SceneServerConfig {
   std::size_t cache_flush_bytes = std::size_t{4} << 20;
   // Brownout: degrade kBatch work under sustained overload (see brownout.h).
   BrownoutPolicy brownout;
-  // Single-flight coalescing: content-identical in-flight scenes share one
-  // forward pass (works with the cache disabled; hashing happens whenever
-  // either feature is on).
-  bool single_flight = true;
   RetryPolicy retry;  // replica-failure retry discipline
-  // SLO-breach trace retention: the sampler keeps this many slowest
-  // completed traces plus this many shed/failed/cancelled ones
-  // (slow_traces()). 0 keeps one of each.
-  std::size_t trace_capacity = 16;
   // Time source for deadlines, backoff, batching, and expiry; nullptr =
   // the process steady clock. Tests inject a util::VirtualClock. Must
   // outlive the server.
@@ -180,13 +169,21 @@ struct SceneServerConfig {
   void validate() const;
 };
 
-/// Aggregate serving telemetry. `session` reuses InferenceSessionStats for
-/// the forward-path counters so dashboards read both serving layers through
-/// one struct: scenes/tiles are forward-path work (cache hits excluded),
-/// busy_seconds sums submit->resolve latency of forward-path scenes,
+/// Forward-path counters: scenes/tiles are forward-path work (cache hits and
+/// coalesced followers excluded; tiles include padding tiles), busy_seconds
+/// sums submit->resolve latency of forward-path scenes, and
 /// wait_seconds/peak_leases describe replica-lease contention.
+struct ForwardStats {
+  std::size_t scenes = 0;        // scenes that ran the forward path
+  std::size_t tiles = 0;         // tiles inferred (incl. padding tiles)
+  double busy_seconds = 0.0;     // summed submit->resolve latency
+  double wait_seconds = 0.0;     // summed time workers blocked on a replica
+  std::size_t peak_leases = 0;   // peak concurrent replica leases
+};
+
+/// Aggregate serving telemetry.
 struct SceneServerStats {
-  InferenceSessionStats session;
+  ForwardStats session;
   std::size_t submitted = 0;   // tickets admitted past admission control
   std::size_t completed = 0;   // tickets resolved with a result (incl. hits)
   std::size_t cancelled = 0;   // tickets resolved via cancellation
@@ -278,8 +275,10 @@ class SceneServer {
   /// Admits one scene under the configured admission policy and returns its
   /// ticket. `ctx` rides along for cancellation/progress (and, if it has a
   /// pool, that pool is used for this scene's filter); a context deadline
-  /// (with_deadline) applies when `options.deadline` is unset. Throws
-  /// std::invalid_argument for malformed scenes, AdmissionRejected when
+  /// (with_deadline) applies when `options.deadline` is unset. A scene that
+  /// is not a tile multiple is filtered whole, edge-padded out to the tile
+  /// grid, and its labels cropped back to scene size. Throws
+  /// std::invalid_argument for non-RGB scenes, AdmissionRejected when
   /// admission control turns the request away, QueueClosed after
   /// shutdown().
   SceneTicket submit(img::ImageU8 scene, const SubmitOptions& options,
@@ -312,7 +311,7 @@ class SceneServer {
 
   /// SLO-breach trace sampler contents: the N slowest completed requests
   /// plus the most recent shed/failed/cancelled ones, each with per-span
-  /// timings (render with obs::render). N = config().trace_capacity.
+  /// timings (render with obs::render), 16 of each.
   [[nodiscard]] std::vector<obs::TraceRecord> slow_traces() const {
     return tracer_.snapshot();
   }

@@ -500,49 +500,8 @@ Evaluation evaluate_model(nn::UNet& model,
 }
 
 // ---------------------------------------------------------------------------
-// TileInferStage / StitchStage / infer_scene_tiles
+// infer_scene_tiles and the tile staging helpers
 // ---------------------------------------------------------------------------
-
-TileInferStage::TileInferStage(nn::UNet& model, int tile_size, int batch_tiles,
-                               std::string input_key)
-    : model_(&model),
-      tile_size_(tile_size),
-      batch_tiles_(batch_tiles),
-      input_key_(std::move(input_key)) {
-  require_tile_compatible(model, tile_size, "TileInferStage");
-  if (batch_tiles_ < 1) batch_tiles_ = 1;
-}
-
-void TileInferStage::run(const par::ExecutionContext& ctx,
-                         ArtifactStore& store) {
-  const auto& images = store.get<std::vector<img::ImageU8>>(input_key_);
-  std::vector<std::vector<img::ImageU8>> predictions(images.size());
-  std::vector<TileGrid> grids(images.size());
-  // The model's forward caches make it stateful, so scenes run serially;
-  // intra-scene parallelism comes from the model's pool. Serving-scale
-  // concurrency is InferenceSession's job (one model replica per slot).
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    predictions[i] =
-        infer_scene_tiles(*model_, images[i], tile_size_, batch_tiles_, ctx);
-    grids[i] = TileGrid{images[i].width() / tile_size_,
-                        images[i].height() / tile_size_};
-  }
-  store.put(keys::kTilePredictions, std::move(predictions));
-  store.put(keys::kTileGrids, std::move(grids));
-}
-
-void StitchStage::run(const par::ExecutionContext& ctx, ArtifactStore& store) {
-  ctx.throw_if_cancelled("stitch");
-  const auto& predictions =
-      store.get<std::vector<std::vector<img::ImageU8>>>(keys::kTilePredictions);
-  const auto& grids = store.get<std::vector<TileGrid>>(keys::kTileGrids);
-  std::vector<img::ImageU8> labels(predictions.size());
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    labels[i] =
-        s2::stitch_labels(predictions[i], grids[i].tiles_x, grids[i].tiles_y);
-  }
-  store.put(keys::kSceneLabels, std::move(labels));
-}
 
 std::vector<img::ImageU8> infer_scene_tiles(nn::UNet& model,
                                             const img::ImageU8& filtered,

@@ -1,11 +1,16 @@
 #pragma once
-// The typed stages behind both paper workflows.
+// The typed stages behind the paper's Fig 2 workflow, and the tile
+// inference helpers behind Fig 9.
 //
 // Fig 2 (training):  AcquireStage -> CloudFilterStage -> AutoLabelStage ->
 //                    ManualLabelStage -> TileSplitStage ->
 //                    TrainTestSplitStage -> TrainStage x2 ->
 //                    CloudBucketStage -> EvaluateStage x N
-// Fig 9 (inference): CloudFilterStage -> TileInferStage -> StitchStage
+//
+// Fig 9 (inference) is not a stage graph: InferenceWorkflow::classify_scene
+// (serial) and serve::SceneServer (concurrent) both call the building blocks
+// at the end of this header (infer_scene_tiles, stage_tile, pred_plane)
+// between CloudShadowFilter and s2::stitch_labels.
 //
 // Every stage reads/writes the keys in core::keys. Per-scene collections
 // are parallelized over the context's pool; outputs are deterministic and
@@ -51,10 +56,6 @@ inline const std::string kTestTilesClear = "corpus.test_clear";
 inline const std::string kModelPrefix = "model.";        // std::shared_ptr<nn::UNet>
 inline const std::string kHistoryPrefix = "history.";    // std::vector<nn::EpochStats>
 inline const std::string kEvalPrefix = "eval.";          // Evaluation
-// Inference-side artifacts.
-inline const std::string kTilePredictions = "inference.tile_preds";  // std::vector<std::vector<img::ImageU8>>
-inline const std::string kTileGrids = "inference.grids";  // std::vector<TileGrid>
-inline const std::string kSceneLabels = "inference.labels";  // std::vector<img::ImageU8>
 }  // namespace keys
 
 /// Metrics of one model on one image variant, against ground truth.
@@ -64,12 +65,6 @@ struct Evaluation {
   double recall = 0.0;     // macro
   double f1 = 0.0;         // macro
   metrics::ConfusionMatrix confusion{s2::kNumClasses};
-};
-
-/// Tile-grid geometry of one scene under inference.
-struct TileGrid {
-  int tiles_x = 0;
-  int tiles_y = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -434,47 +429,8 @@ Evaluation evaluate_model(nn::UNet& model,
                           const par::ExecutionContext& ctx);
 
 // ---------------------------------------------------------------------------
-// Inference stages (Fig 9).
+// Fig 9 inference building blocks (workflow, server).
 // ---------------------------------------------------------------------------
-
-/// Tiles each filtered scene and runs batched U-Net inference. The model is
-/// borrowed (must outlive the stage) and is NOT thread-safe — use one stage
-/// per model replica; InferenceSession manages that for serving.
-class TileInferStage : public Stage {
- public:
-  TileInferStage(nn::UNet& model, int tile_size, int batch_tiles = 8,
-                 std::string input_key = keys::kFilteredImages);
-
-  [[nodiscard]] std::string name() const override { return "tile_infer"; }
-  [[nodiscard]] std::vector<std::string> consumes() const override {
-    return {input_key_};
-  }
-  [[nodiscard]] std::vector<std::string> produces() const override {
-    return {keys::kTilePredictions, keys::kTileGrids};
-  }
-  void run(const par::ExecutionContext& ctx, ArtifactStore& store) override;
-
- private:
-  nn::UNet* model_;
-  int tile_size_;
-  int batch_tiles_;
-  std::string input_key_;
-};
-
-/// Reassembles per-tile label planes into scene-sized label maps.
-class StitchStage : public Stage {
- public:
-  StitchStage() = default;
-
-  [[nodiscard]] std::string name() const override { return "stitch"; }
-  [[nodiscard]] std::vector<std::string> consumes() const override {
-    return {keys::kTilePredictions, keys::kTileGrids};
-  }
-  [[nodiscard]] std::vector<std::string> produces() const override {
-    return {keys::kSceneLabels};
-  }
-  void run(const par::ExecutionContext& ctx, ArtifactStore& store) override;
-};
 
 /// Tiles `filtered` (dimensions must be tile multiples), runs batched
 /// forward passes of up to `batch_tiles` tiles, and returns the per-tile
@@ -488,8 +444,8 @@ std::vector<img::ImageU8> infer_scene_tiles(nn::UNet& model,
 
 /// Throws std::invalid_argument unless tile_size is positive and divisible
 /// by the model's 2^depth — the shared precondition of every tile-serving
-/// entry point (`who` prefixes the message: workflow, session, server,
-/// TileInferStage all enforce the same rule through this one check).
+/// entry point (`who` prefixes the message: the workflow and the server
+/// enforce the same rule through this one check).
 void require_tile_compatible(const nn::UNet& model, int tile_size,
                              const char* who);
 

@@ -155,7 +155,6 @@ InferenceWorkflow::InferenceWorkflow(nn::UNet& model,
                                      CloudFilterConfig filter_config,
                                      int tile_size, int batch_tiles)
     : model_(model),
-      filter_config_(filter_config),
       filter_(filter_config),  // validates the config at construction
       tile_size_(tile_size),
       batch_tiles_(batch_tiles) {
@@ -163,15 +162,6 @@ InferenceWorkflow::InferenceWorkflow(nn::UNet& model,
   if (batch_tiles_ < 1) {
     throw std::invalid_argument("InferenceWorkflow: batch_tiles < 1");
   }
-}
-
-Pipeline InferenceWorkflow::build_pipeline() {
-  Pipeline pipeline;
-  pipeline.emplace<CloudFilterStage>(filter_config_, keys::kSceneImages,
-                                     keys::kFilteredImages);
-  pipeline.emplace<TileInferStage>(model_, tile_size_, batch_tiles_);
-  pipeline.emplace<StitchStage>();
-  return pipeline;
 }
 
 img::ImageU8 InferenceWorkflow::classify_scene(const img::ImageU8& scene_rgb,
@@ -185,9 +175,7 @@ img::ImageU8 InferenceWorkflow::classify_scene(const img::ImageU8& scene_rgb,
         "InferenceWorkflow: scene size must be a tile multiple");
   }
   // Fig 9, with the corpus lesson applied: filter the big scene once, then
-  // split, infer per tile batch, and stitch — the same components
-  // build_pipeline() composes, called directly so the serving path copies
-  // nothing and assembles no per-call graph.
+  // split, infer per tile batch, and stitch.
   const img::ImageU8 filtered = filter_.apply(scene_rgb, ctx);
   const auto tile_planes =
       infer_scene_tiles(model_, filtered, tile_size_, batch_tiles_, ctx);

@@ -8,9 +8,10 @@
 // (Table V, Fig 13). The graph is assembled in build_pipeline(); run() is
 // now "run the pipeline, read the artifacts".
 //
-// InferenceWorkflow = Fig 9 as a pipeline: big scene -> thin-cloud/shadow
+// InferenceWorkflow = Fig 9, serially: big scene -> thin-cloud/shadow
 // filter -> 256x256 tiles -> batched U-Net inference -> stitched scene
-// classification. For long-lived concurrent serving use InferenceSession.
+// classification. It is the reference every concurrent path is checked
+// against; for concurrent serving use serve::SceneServer.
 
 #include <memory>
 #include <vector>
@@ -112,15 +113,9 @@ class InferenceWorkflow {
   InferenceWorkflow(nn::UNet& model, CloudFilterConfig filter_config,
                     int tile_size, int batch_tiles = 8);
 
-  /// The Fig 9 stage graph (CloudFilter -> TileInfer -> Stitch) for
-  /// composition with other stages. Seed the store with keys::kSceneImages;
-  /// results land under keys::kSceneLabels. classify_scene() runs the same
-  /// components directly (no per-call graph assembly or scene copy).
-  [[nodiscard]] Pipeline build_pipeline();
-
   /// Classifies a full scene (dimensions must be tile multiples); returns a
   /// scene-sized class-id plane. Not thread-safe — the model's forward
-  /// caches are stateful; use InferenceSession for concurrent serving.
+  /// caches are stateful; use serve::SceneServer for concurrent serving.
   img::ImageU8 classify_scene(const img::ImageU8& scene_rgb,
                               const par::ExecutionContext& ctx = {});
 
@@ -128,12 +123,11 @@ class InferenceWorkflow {
   [[nodiscard]] int tile_size() const noexcept { return tile_size_; }
   [[nodiscard]] int batch_tiles() const noexcept { return batch_tiles_; }
   [[nodiscard]] const CloudFilterConfig& filter_config() const noexcept {
-    return filter_config_;
+    return filter_.config();
   }
 
  private:
   nn::UNet& model_;
-  CloudFilterConfig filter_config_;
   CloudShadowFilter filter_;
   int tile_size_;
   int batch_tiles_;

@@ -1,5 +1,7 @@
 #include "img/io.h"
 
+#include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 
@@ -57,6 +59,23 @@ ImageU8 read_pnm(const std::string& path, const char* magic, int channels) {
   }
   if (width <= 0 || height <= 0 || maxval != 255) {
     throw std::runtime_error("unsupported header in " + path);
+  }
+  // Check the declared size against the bytes actually left in the file
+  // before allocating: a lying header must not drive the allocation.
+  std::uint64_t need = 0;
+  if (__builtin_mul_overflow(static_cast<std::uint64_t>(width),
+                             static_cast<std::uint64_t>(height), &need) ||
+      __builtin_mul_overflow(need, static_cast<std::uint64_t>(channels),
+                             &need)) {
+    throw std::runtime_error("unsupported header in " + path);
+  }
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here ||
+      need > static_cast<std::uint64_t>(end - here)) {
+    throw std::runtime_error("truncated pixel data in " + path);
   }
   ImageU8 image(width, height, channels);
   in.read(reinterpret_cast<char*>(image.data()),

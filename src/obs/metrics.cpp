@@ -257,12 +257,25 @@ Snapshot parse_text(const std::string& text) {
       if (q1 == std::string::npos || q2 == std::string::npos) parse_fail(line);
       const std::string le = key.substr(q1 + 1, q2 - q1 - 1);
       HistogramSample& h = hist_for(name);
+      // Shape: finite, strictly ascending bounds, then exactly one +Inf
+      // bucket, last — so counts.size() == bounds.size() + 1 and
+      // percentile() never indexes past the bounds. _count is deliberately
+      // not checked against the bucket sum: snapshot() folds them as
+      // separate relaxed atomics.
+      if (h.counts.size() > h.bounds.size()) parse_fail(line);  // after +Inf
       const std::uint64_t cum = parse_u64(value, line);
       std::uint64_t prev = 0;
       for (std::uint64_t c : h.counts) prev += c;
       if (cum < prev) parse_fail(line);
+      if (le != "+Inf") {
+        const double bound = parse_double(le, line);
+        if (!std::isfinite(bound) ||
+            (!h.bounds.empty() && bound <= h.bounds.back())) {
+          parse_fail(line);
+        }
+        h.bounds.push_back(bound);
+      }
       h.counts.push_back(cum - prev);
-      if (le != "+Inf") h.bounds.push_back(parse_double(le, line));
       continue;
     }
     auto ends_with = [&](const std::string& suffix) {
@@ -285,6 +298,12 @@ Snapshot parse_text(const std::string& text) {
       snap.counters.push_back({key, parse_u64(value, line)});
     } else {
       parse_fail(line);
+    }
+  }
+  for (const auto& h : hists) {
+    if (h.counts.size() != h.bounds.size() + 1) {
+      throw std::runtime_error("metrics parse error: histogram " + h.name +
+                               " has no +Inf bucket");
     }
   }
   snap.histograms = std::move(hists);

@@ -72,8 +72,8 @@ using ProgressSink = std::function<void(const ProgressEvent&)>;
 
 /// Growable byte scratch with bump allocation — the generic cousin of
 /// tensor::PackArena, offered to pipeline stages for per-call temporaries
-/// (first production consumer: InferenceSession's tile-staging buffers,
-/// leased per classify_scene call). Memory comes in geometrically-grown
+/// (production consumer: core::infer_scene_tiles' prediction buffers,
+/// leased per scene). Memory comes in geometrically-grown
 /// 64-byte-aligned chunks that are never moved or freed before destruction,
 /// so every pointer handed out stays valid until reset() or the owning
 /// Lease ends. reset() recycles all chunks; capacity only ever grows.

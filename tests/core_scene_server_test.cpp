@@ -1,8 +1,9 @@
-// SceneServer serving semantics: cross-scene batched results bit-compared
-// against the serial InferenceWorkflow, cache hit/miss/eviction behaviour,
-// admission rejection under a full queue, cancellation, replica
-// auto-scaling, shutdown drain, and stats consistency under concurrent
-// submitters.
+// SceneServer serving semantics: cross-scene batched and concurrently
+// submitted results bit-compared against the serial InferenceWorkflow,
+// ragged scenes against a serial pad/infer/stitch/crop reference, cache
+// hit/miss/eviction behaviour, admission rejection under a full queue,
+// cancellation, replica auto-scaling, shutdown drain, and stats consistency
+// under concurrent submitters.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,15 @@
 #include <thread>
 #include <vector>
 
-#include "core/inference_session.h"
+#include "core/cloud_filter.h"
 #include "core/serve/scene_server.h"
+#include "core/stages.h"
 #include "core/workflow.h"
 #include "img/ops.h"
 #include "nn/unet.h"
 #include "par/context.h"
 #include "s2/scene.h"
+#include "s2/tiles.h"
 
 namespace pc = polarice::core;
 namespace pv = polarice::core::serve;
@@ -177,6 +180,9 @@ TEST(SceneServer, AdmissionRejectsWhenQueueFull) {
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.peak_queue_depth, 1u);
+  // Single replica: leases never overlap, and waiting is well-defined.
+  EXPECT_EQ(stats.session.peak_leases, 1u);
+  EXPECT_GE(stats.session.wait_seconds, 0.0);
 }
 
 TEST(SceneServer, CancellationResolvesTicketsAtPipelineBoundaries) {
@@ -186,6 +192,14 @@ TEST(SceneServer, CancellationResolvesTicketsAtPipelineBoundaries) {
   cfg.batch_tiles = 1;
   cfg.max_batch_wait = 0ms;
   pv::SceneServer server(model, cfg);
+
+  // Pre-cancelled submitter context: resolved cancelled before any work.
+  {
+    const pp::ExecutionContext cancelled;
+    cancelled.request_cancel();
+    auto ticket = server.submit(make_scene(80), cancelled);
+    EXPECT_THROW((void)ticket.get(), pp::OperationCancelled);
+  }
 
   // Cancelled while queued: gate the scheduler on a first scene, cancel the
   // second before the gate opens.
@@ -224,7 +238,7 @@ TEST(SceneServer, CancellationResolvesTicketsAtPipelineBoundaries) {
   // The server stays serviceable after cancellations.
   EXPECT_EQ(server.classify_scene(make_scene(84)).width(), 128);
   const auto stats = server.stats();
-  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.cancelled, 3u);
   EXPECT_EQ(stats.failed, 0u);
 
   // Per-ticket cancel is scoped to its scene: two tickets sharing one
@@ -244,28 +258,30 @@ TEST(SceneServer, CancellationResolvesTicketsAtPipelineBoundaries) {
   }
 }
 
-TEST(SceneServer, PadsRaggedScenesLikeInferenceSession) {
+TEST(SceneServer, PadsRaggedScenesLikeSerialReference) {
   pn::UNet model = make_model();
   const auto full = make_scene(55, 128);
+  // Crop to a ragged 100x72 — not a multiple of 64 on either axis.
   const auto ragged = pi::crop(full, 0, 0, 100, 72);
 
-  pc::InferenceSessionConfig session_cfg;
-  session_cfg.tile_size = 64;
-  session_cfg.replicas = 1;
-  pc::InferenceSession session(model, session_cfg);
-  const auto reference = session.classify_scene(ragged);
+  // Serial reference, Fig 9 order: filter the whole scene, edge-pad the
+  // filtered imagery to the tile grid, infer, stitch, crop back.
+  const auto filtered = pc::CloudShadowFilter().apply(ragged);
+  const auto padded = pi::pad_edge(filtered, 128, 128);
+  const auto tiles = pc::infer_scene_tiles(model, padded, 64,
+                                           /*batch_tiles=*/8, {});
+  const auto reference =
+      pi::crop(ps::stitch_labels(tiles, 2, 2), 0, 0, 100, 72);
 
   auto cfg = server_config();
   pv::SceneServer server(model, cfg);
   const auto labels = server.classify_scene(ragged);
   EXPECT_EQ(labels.width(), 100);
   EXPECT_EQ(labels.height(), 72);
+  EXPECT_EQ(labels.channels(), 1);
   EXPECT_EQ(labels, reference);
+  EXPECT_EQ(server.stats().session.tiles, 4u);  // padding tiles included
 
-  // Strict mode matches the workflow contract.
-  cfg.pad_partial_tiles = false;
-  pv::SceneServer strict(model, cfg);
-  EXPECT_THROW((void)strict.submit(ragged.clone()), std::invalid_argument);
   pi::ImageU8 gray(64, 64, 1);
   EXPECT_THROW((void)server.submit(gray.clone()), std::invalid_argument);
 }
@@ -320,21 +336,28 @@ TEST(SceneServer, StatsConsistentUnderConcurrentSubmitters) {
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 3;
-  std::atomic<int> ok{0};
+  std::vector<pi::ImageU8> scenes, references;
+  pc::InferenceWorkflow workflow(model, {}, 64);
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    scenes.push_back(make_scene(7000 + static_cast<std::uint64_t>(i)));
+    references.push_back(workflow.classify_scene(scenes.back()));
+  }
+
+  std::vector<pi::ImageU8> results(scenes.size());
   {
     std::vector<std::jthread> submitters;
     for (int t = 0; t < kThreads; ++t) {
       submitters.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          const auto seed =
-              static_cast<std::uint64_t>(7000 + t * kPerThread + i);
-          auto ticket = server.submit(make_scene(seed));
-          if (ticket.get().width() == 128) ok.fetch_add(1);
+          const auto k = static_cast<std::size_t>(t * kPerThread + i);
+          results[k] = server.submit(scenes[k].clone()).get();
         }
       });
     }
   }
-  EXPECT_EQ(ok.load(), kThreads * kPerThread);
+  for (std::size_t k = 0; k < scenes.size(); ++k) {
+    EXPECT_EQ(results[k], references[k]) << "scene " << k;
+  }
 
   const auto stats = server.stats();
   const auto total = static_cast<std::size_t>(kThreads * kPerThread);
@@ -349,6 +372,9 @@ TEST(SceneServer, StatsConsistentUnderConcurrentSubmitters) {
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_LE(stats.peak_queue_depth, cfg.admission.capacity);
   EXPECT_GE(stats.session.wait_seconds, 0.0);
+  EXPECT_GE(stats.session.peak_leases, 1u);
+  EXPECT_LE(stats.session.peak_leases,
+            static_cast<std::size_t>(cfg.max_replicas));
   EXPECT_GE(stats.batches, stats.cross_scene_batches);
 }
 
@@ -565,24 +591,6 @@ TEST(SceneServer, SingleFlightPromotesFollowerWhenLeaderCancelled) {
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
-}
-
-TEST(SceneServer, SingleFlightOffRunsEveryForwardPath) {
-  pn::UNet model = make_model();
-  auto cfg = server_config();
-  cfg.cache_bytes = 0;
-  cfg.single_flight = false;
-  pv::SceneServer server(model, cfg);
-
-  const auto scene = make_scene(6003);
-  auto a = server.submit(scene.clone());
-  auto b = server.submit(scene.clone());
-  EXPECT_EQ(a.get(), b.get());
-
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.session.tiles, 8u);  // both scenes forwarded fully
-  EXPECT_EQ(stats.session.scenes, 2u);
 }
 
 TEST(SceneServer, SingleFlightCancelledFollowerResolvesCancelled) {

@@ -6,6 +6,8 @@
 #include <utility>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "img/io.h"
 #include "img/morphology.h"
@@ -181,14 +183,22 @@ TEST(NetpbmIo, ReadRejectsMissingFile) {
   EXPECT_THROW(pi::read_ppm("/nonexistent/path/img.ppm"), std::runtime_error);
 }
 
+// The declared size is checked against the bytes left in the file before
+// anything is allocated, so a header claiming 2e9 x 2e9 or 40000 x 40000
+// pixels (~4.8 GB) over an empty pixel run throws std::runtime_error, not
+// std::length_error or an OOM kill.
 TEST(NetpbmIo, ReadRejectsTruncatedPixelData) {
   const auto path = temp_file("polarice_truncated.ppm");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "P6\n100 100\n255\n";
-    out << "short";  // far fewer than 100*100*3 bytes
+  for (const char* file : {"P6\n100 100\n255\nshort",  // far fewer than
+                                                         // 100*100*3 bytes
+                           "P6\n2000000000 2000000000\n255\n",
+                           "P6\n40000 40000\n255\n"}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << file;
+    }
+    EXPECT_THROW(pi::read_ppm(path.string()), std::runtime_error) << file;
   }
-  EXPECT_THROW(pi::read_ppm(path.string()), std::runtime_error);
   fs::remove(path);
 }
 
@@ -225,4 +235,68 @@ TEST(NetpbmIo, ReadRejectsBadMaxval) {
   }
   EXPECT_THROW(pi::read_pgm(path.string()), std::runtime_error);
   fs::remove(path);
+}
+
+// Deterministic fuzz over a real PPM and PGM: every single-bit flip and
+// every truncated prefix must either decode to a well-formed image of the
+// format's channel count or throw std::runtime_error — never another
+// exception type, a huge allocation, or an out-of-bounds read.
+namespace {
+void fuzz_netpbm(const std::string& pristine, const fs::path& path,
+                 pi::ImageU8 (*read)(const std::string&), int channels) {
+  const auto check = [&](const std::string& bytes, const char* what,
+                         std::size_t at) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      const auto im = read(path.string());
+      EXPECT_EQ(im.channels(), channels) << what << at;
+      EXPECT_GT(im.width(), 0) << what << at;
+      EXPECT_GT(im.height(), 0) << what << at;
+      EXPECT_EQ(im.size(), static_cast<std::size_t>(im.width()) *
+                               static_cast<std::size_t>(im.height()) *
+                               static_cast<std::size_t>(channels))
+          << what << at;
+      EXPECT_LE(im.size(), bytes.size()) << what << at;
+    } catch (const std::runtime_error&) {
+      // The expected outcome for a corrupted header or pixel run.
+    }
+  };
+  for (std::size_t i = 0; i < pristine.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutant = pristine;
+      mutant[i] = static_cast<char>(mutant[i] ^ (1 << bit));
+      check(mutant, "flip at ", i);
+    }
+  }
+  for (std::size_t n = 0; n < pristine.size(); ++n) {
+    check(pristine.substr(0, n), "truncated to ", n);
+  }
+  fs::remove(path);
+}
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+}  // namespace
+
+TEST(NetpbmIo, ReadFuzzYieldsValidImageOrRuntimeError) {
+  polarice::util::Rng rng(22);
+  pi::ImageU8 rgb(5, 4, 3);
+  for (auto& v : rgb) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  pi::ImageU8 gray(7, 3, 1);
+  for (auto& v : gray) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+
+  const auto ppm = temp_file("polarice_fuzz.ppm");
+  pi::write_ppm(ppm.string(), rgb);
+  ASSERT_EQ(pi::read_ppm(ppm.string()), rgb);
+  fuzz_netpbm(file_bytes(ppm), ppm, &pi::read_ppm, 3);
+
+  const auto pgm = temp_file("polarice_fuzz.pgm");
+  pi::write_pgm(pgm.string(), gray);
+  ASSERT_EQ(pi::read_pgm(pgm.string()), gray);
+  fuzz_netpbm(file_bytes(pgm), pgm, &pi::read_pgm, 1);
 }

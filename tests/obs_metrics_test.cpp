@@ -207,6 +207,93 @@ TEST(ObsMetrics, ParseRejectsGarbage) {
                        "lat_sum 1.0\nlat_count 5\n"),
       std::runtime_error);
   EXPECT_TRUE(parse_text("").counters.empty());
+
+  // Histogram shape is validated, not just line syntax: every accepted
+  // histogram has finite, strictly ascending bounds and exactly one +Inf
+  // bucket, last, so counts.size() == bounds.size() + 1 and percentile()
+  // cannot index before bounds[0] on anything a scrape returns.
+  const char* malformed[] = {
+      // Three +Inf buckets.
+      "h_bucket{le=\"+Inf\"} 1\nh_bucket{le=\"+Inf\"} 2\n"
+      "h_bucket{le=\"+Inf\"} 3\nh_count 3\n",
+      // No +Inf bucket.
+      "h_bucket{le=\"0.5\"} 1\nh_bucket{le=\"1\"} 2\nh_count 2\n",
+      // A bucket after +Inf.
+      "h_bucket{le=\"+Inf\"} 1\nh_bucket{le=\"1\"} 1\nh_count 1\n",
+      // Bounds not strictly ascending.
+      "h_bucket{le=\"1\"} 1\nh_bucket{le=\"1\"} 1\n"
+      "h_bucket{le=\"+Inf\"} 1\nh_count 1\n",
+      "h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\n"
+      "h_bucket{le=\"+Inf\"} 1\nh_count 1\n",
+      // Non-finite bounds.
+      "h_bucket{le=\"nan\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
+      "h_bucket{le=\"-Inf\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n",
+  };
+  for (const char* text : malformed) {
+    EXPECT_THROW((void)parse_text(text), std::runtime_error) << text;
+  }
+  // _count is not required to equal the bucket total: snapshot() reads the
+  // two as separate relaxed atomics, so a live scrape may disagree.
+  const Snapshot skewed = parse_text(
+      "h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 5\n");
+  const auto* h = skewed.find_histogram("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 5u);
+  EXPECT_EQ(h->counts.size(), h->bounds.size() + 1);
+  EXPECT_GE(h->percentile(0.99), 0.0);
+}
+
+// Deterministic fuzz over a real exposition: every single-bit flip and
+// every truncated prefix of render_text must either parse into
+// structurally valid histograms (percentile() safe) or throw
+// std::runtime_error — never another exception type or an out-of-bounds
+// read.
+TEST(ObsMetrics, ParseFuzzYieldsValidSnapshotOrRuntimeError) {
+  Registry registry;
+  registry.counter("requests_total").add(42);
+  registry.gauge("leases").set(2.5);
+  Histogram& histogram = registry.histogram("e2e_seconds", {1e-3, 1e-2, 0.1});
+  for (int i = 0; i < 20; ++i) histogram.observe(1e-3 * (1 + i * i));
+  const Snapshot snapshot = registry.snapshot();
+  const std::string pristine = render_text(snapshot);
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& text) {
+    Snapshot parsed;
+    try {
+      parsed = parse_text(text);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    for (const auto& h : parsed.histograms) {
+      ASSERT_EQ(h.counts.size(), h.bounds.size() + 1) << text;
+      for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(h.bounds[i])) << text;
+        if (i > 0) {
+          ASSERT_LT(h.bounds[i - 1], h.bounds[i]) << text;
+        }
+      }
+      for (const double q : {0.0, 0.5, 0.99, 1.0}) (void)h.percentile(q);
+      (void)h.bucket_index(0.05);
+    }
+  };
+  for (std::size_t i = 0; i < pristine.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutant = pristine;
+      mutant[i] = static_cast<char>(mutant[i] ^ (1 << bit));
+      check(mutant);
+    }
+  }
+  for (std::size_t n = 0; n <= pristine.size(); ++n) {
+    check(pristine.substr(0, n));
+  }
+  // Both outcomes occur: the loop exercises the parser, not just its
+  // first-line rejection.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ObsMetrics, CallbackGaugesSampleAtSnapshotAndSumDuplicates) {

@@ -105,7 +105,7 @@ TEST(ScratchArena, LeaseRewindsToMark) {
     EXPECT_EQ(lease.allocate(512), first);
   }
   // Repeated leases never grow capacity further (steady state allocates
-  // nothing — the InferenceSession serving property).
+  // nothing — the property infer_scene_tiles relies on per scene).
   for (int i = 0; i < 16; ++i) {
     auto lease = arena.lease();
     (void)lease.allocate(1 << 20);

@@ -276,7 +276,6 @@ TEST(SceneServerFault, StitchFailureNeverCachesAndFollowersRecompute) {
   auto cfg = fault_config(&injector);
   cfg.batch_tiles = 1;
   cfg.cache_bytes = std::size_t{16} << 20;  // cache ON: the guard under test
-  cfg.single_flight = true;
   pv::SceneServer server(model, cfg);
 
   // Park the worker after the leader's first tile so a content-identical
