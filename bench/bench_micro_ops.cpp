@@ -33,6 +33,7 @@
 #include "nn/unet.h"
 #include "par/parallel_for.h"
 #include "s2/scene.h"
+#include "support/img_oracles.h"
 #include "tensor/conv.h"
 #include "tensor/gemm.h"
 #include "util/mem_stats.h"
@@ -473,7 +474,7 @@ static void BM_MorphOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_MorphOpen);
 
-// The cloud filter's envelope pair — fused dual-stream van Herk passes vs
+// The cloud filter's envelope pair — one call sharing its staging planes vs
 // the two separate open/close calls.
 static void BM_MorphEnvelopePair(benchmark::State& state) {
   const auto gray = img::rgb_to_gray(bench_scene_rgb(256));
@@ -497,8 +498,9 @@ static void BM_MorphOpenClosePair(benchmark::State& state) {
 BENCHMARK(BM_MorphOpenClosePair);
 
 static void BM_MorphOpenRef(benchmark::State& state) {
-  // Seed O(K) window scan, kept for the trajectory comparison against the
-  // van Herk/Gil-Werman production path above.
+  // Seed O(K) window scan (the test-support oracle), kept for the
+  // trajectory comparison against the van Herk/Gil-Werman production path
+  // above.
   const auto gray = img::rgb_to_gray(bench_scene_rgb(256));
   for (auto _ : state) {
     auto out = img::dilate_ref(img::erode_ref(gray, 97), 97);

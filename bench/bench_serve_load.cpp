@@ -127,7 +127,6 @@ pb::ShardLoadConfig shard_config_from(const polarice::util::Args& args) {
       static_cast<std::size_t>(args.get_int("shed_depth", 0));
   cfg.worker_bin = args.get_string("worker_bin", "");
   cfg.stat_bin = args.get_string("stat_bin", "");
-  cfg.scrape_after_fraction = args.get_double("scrape_after", 0.5);
   if (args.has("connect")) {
     // Endpoint-list parsing raises on any malformed element — a typo'd
     // fleet spec must fail loudly, not fall back to spawning workers.

@@ -98,12 +98,13 @@ struct ShardLoadConfig {
   int max_failovers = 2;
 
   // Observability drill: when non-empty, fork/exec this polarice_stat
-  // binary midway through the submission window with --connect <fleet>
-  // --expect_forward — a live scrape of every worker while traffic is in
-  // flight. The exit code lands in the report (0 = every worker answered
-  // both exchanges and had non-zero forward-pass counts).
+  // binary with --connect <fleet> --expect_forward as soon as the first
+  // request completes — a live scrape of every worker while traffic is in
+  // flight, timed by the fleet's own progress rather than the wall clock,
+  // so a slow (e.g. sanitizer-instrumented) first forward pass cannot make
+  // it fire early. The exit code lands in the report (0 = every worker
+  // answered both exchanges and had non-zero forward-pass counts).
   std::string stat_bin;
-  double scrape_after_fraction = 0.5;
 
   // Path to polarice_worker; empty = discovered next to this binary
   // (<exe_dir>/../tools/polarice_worker).
@@ -155,9 +156,6 @@ struct ShardLoadConfig {
     }
     if (cache_flush_kb < 1) {
       throw std::invalid_argument("ShardLoadConfig: cache_flush_kb < 1");
-    }
-    if (scrape_after_fraction < 0.0 || scrape_after_fraction > 1.0) {
-      throw std::invalid_argument("ShardLoadConfig: bad scrape_after_fraction");
     }
   }
 };
@@ -443,19 +441,20 @@ inline ShardLoadReport run_shard_load(const ShardLoadConfig& cfg) {
       });
     }
 
-    // The scraper: run polarice_stat against the live fleet mid-window,
-    // while forward passes are actually in flight — the end-to-end proof
-    // that the metrics path works on a hot fleet, not just at rest.
+    // The scraper: run polarice_stat against the live fleet once the first
+    // request has completed (so at least one forward pass is observable)
+    // while the clients are still submitting — the end-to-end proof that
+    // the metrics path works on a hot fleet, not just at rest. If nothing
+    // ever completes it scrapes when the clients finish, and the gate
+    // reports the missing forward passes.
+    std::atomic<bool> first_completion{false};
     std::atomic<int> scrape_exit{-1};
     std::jthread scraper;
     if (!cfg.stat_bin.empty()) {
-      scraper = std::jthread([&] {
-        const auto when =
-            start +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(cfg.seconds *
-                                              cfg.scrape_after_fraction));
-        std::this_thread::sleep_until(when);
+      scraper = std::jthread([&](const std::stop_token& token) {
+        while (!first_completion.load() && !token.stop_requested()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
         std::string connect;
         for (const auto& endpoint : endpoints) {
           if (!connect.empty()) connect += ',';
@@ -516,6 +515,7 @@ inline ShardLoadReport run_shard_load(const ShardLoadConfig& cfg) {
             const std::chrono::duration<double, std::milli> latency =
                 std::chrono::steady_clock::now() - submitted_at;
             my_latencies.push_back(latency.count());
+            first_completion.store(true);
             if (cfg.verify && plane != references[scene_index]) {
               corrupt.fetch_add(1);
             }
@@ -536,7 +536,10 @@ inline ShardLoadReport run_shard_load(const ShardLoadConfig& cfg) {
       assassin.request_stop();
       assassin.join();
     }
-    if (scraper.joinable()) scraper.join();  // fires within the window
+    if (scraper.joinable()) {
+      scraper.request_stop();
+      scraper.join();
+    }
     report.scrape_exit = scrape_exit.load();
 
     report.submitted = submitted.load();

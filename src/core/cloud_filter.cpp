@@ -57,9 +57,9 @@ CloudFilterResult CloudShadowFilter::filter_impl(const img::ImageU8& rgb,
   // below while tracking slow atmospheric variation — a bare erosion would
   // latch onto the least-hazed dark pixel in the window and underestimate
   // haze wherever opacity varies across the window. Closing is the dual
-  // bright envelope. Both come out of one fused van Herk/Gil-Werman pass
-  // set (four image sweeps for the pair instead of eight). Light Gaussian
-  // smoothing removes the plateau edges.
+  // bright envelope. Both come out of one van Herk/Gil-Werman pass set
+  // sharing its staging planes. Light Gaussian smoothing removes the
+  // plateau edges.
   const img::MorphEnvelopes envelopes = img::morph_envelopes(v_obs, env_k);
   const img::ImageU8 dark_env = img::gaussian_blur(envelopes.open, smooth_k);
   const img::ImageU8 bright_env =

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 namespace polarice::img {
 
@@ -13,44 +16,64 @@ void require_odd(int ksize, const char* what) {
   }
 }
 
+/// clamp(lround(v), 0, 255) — round half away from zero — for every
+/// |v| < 2^31 (a u8 blur's outputs lie in [0, 255]: its kernels are finite,
+/// non-negative and sum to 1), written as a truncation plus an exact
+/// fraction test and an integer clamp so the loop vectorises.
 std::uint8_t round_u8(float v) noexcept {
-  return static_cast<std::uint8_t>(std::clamp(std::lround(v), 0L, 255L));
+  const int i = static_cast<int>(v);
+  const int rounded = i + (v - static_cast<float>(i) >= 0.5f ? 1 : 0);
+  return static_cast<std::uint8_t>(std::clamp(rounded, 0, 255));
 }
 
 /// Separable convolution with a symmetric 1-D kernel, replicated borders.
+/// Both passes run taps in the outer loop over a contiguous row of
+/// accumulators, so the inner loops are plain vector multiply-adds: the
+/// horizontal pass reads a float copy of the source row padded by `radius`
+/// replicated pixels on each side, the vertical pass clamps only the row
+/// index. Each output still starts at 0 and adds k[i] * v for i = -r..r in
+/// order, bit for bit the per-tap clamped scan (gaussian_blur_ref).
 template <typename T>
 Image<T> separable(const Image<T>& src, const std::vector<float>& k) {
-  const int radius = static_cast<int>(k.size()) / 2;
+  const int ksize = static_cast<int>(k.size());
+  const int radius = ksize / 2;
   const int w = src.width(), h = src.height(), nc = src.channels();
+  const std::size_t row_len = static_cast<std::size_t>(w) * nc;
+  const std::size_t pad_len = static_cast<std::size_t>(radius) * nc;
   Image<float> tmp(w, h, nc);
-  // Horizontal pass.
+  std::vector<float> line(row_len + 2 * pad_len);
+  std::vector<float> acc(row_len);
+  // Horizontal pass, accumulating into tmp's zero-initialized rows.
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      for (int c = 0; c < nc; ++c) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) {
-          acc += k[i + radius] *
-                 static_cast<float>(src.at_clamped(x + i, y, c));
-        }
-        tmp.at(x, y, c) = acc;
-      }
+    const T* srow = src.data() + static_cast<std::size_t>(y) * row_len;
+    const T* last = srow + row_len - nc;
+    std::copy(srow, srow + row_len, line.begin() + pad_len);
+    for (std::size_t j = 0; j < pad_len; ++j) {
+      line[j] = static_cast<float>(srow[j % nc]);
+      line[pad_len + row_len + j] = static_cast<float>(last[j % nc]);
+    }
+    float* trow = tmp.data() + static_cast<std::size_t>(y) * row_len;
+    for (int i = 0; i < ksize; ++i) {
+      const float ki = k[i];
+      const float* in = line.data() + static_cast<std::size_t>(i) * nc;
+      for (std::size_t j = 0; j < row_len; ++j) trow[j] += ki * in[j];
     }
   }
   // Vertical pass.
   Image<T> out(w, h, nc);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      for (int c = 0; c < nc; ++c) {
-        float acc = 0.0f;
-        for (int i = -radius; i <= radius; ++i) {
-          acc += k[i + radius] * tmp.at_clamped(x, y + i, c);
-        }
-        if constexpr (std::is_same_v<T, std::uint8_t>) {
-          out.at(x, y, c) = round_u8(acc);
-        } else {
-          out.at(x, y, c) = acc;
-        }
-      }
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (int i = 0; i < ksize; ++i) {
+      const int sy = std::clamp(y + i - radius, 0, h - 1);
+      const float ki = k[i];
+      const float* in = tmp.data() + static_cast<std::size_t>(sy) * row_len;
+      for (std::size_t j = 0; j < row_len; ++j) acc[j] += ki * in[j];
+    }
+    T* orow = out.data() + static_cast<std::size_t>(y) * row_len;
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      std::transform(acc.begin(), acc.end(), orow, round_u8);
+    } else {
+      std::copy(acc.begin(), acc.end(), orow);
     }
   }
   return out;
@@ -59,12 +82,16 @@ Image<T> separable(const Image<T>& src, const std::vector<float>& k) {
 
 std::vector<float> gaussian_kernel_1d(int ksize, double sigma) {
   require_odd(ksize, "gaussian_kernel_1d");
-  if (sigma <= 0.0) sigma = 0.3 * ((ksize - 1) * 0.5 - 1) + 0.8;
+  // NaN takes the default too, and the centre tap is exactly 1 even when
+  // 2*sigma^2 underflows to 0 (where the formula gives 0/0), so every
+  // kernel is finite and a blur never leaves its source's value range.
+  if (!(sigma > 0.0)) sigma = 0.3 * ((ksize - 1) * 0.5 - 1) + 0.8;
   const int radius = ksize / 2;
   std::vector<float> k(ksize);
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
-    const double v = std::exp(-(i * i) / (2.0 * sigma * sigma));
+    const double v =
+        i == 0 ? 1.0 : std::exp(-(i * i) / (2.0 * sigma * sigma));
     k[i + radius] = static_cast<float>(v);
     sum += v;
   }

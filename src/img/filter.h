@@ -1,6 +1,17 @@
 #pragma once
 // Smoothing / noise filters (paper §III.A "noise filtering"): box, Gaussian
 // (separable), and median. Borders replicate (cv::BORDER_REPLICATE).
+//
+// box_filter and gaussian_blur share one separable pass pair. Each pass
+// keeps the kernel taps in the outer loop and a contiguous row of float
+// accumulators in the inner one: the horizontal pass reads each source row
+// once, staged as floats padded by `radius` replicated border pixels; the
+// vertical pass clamps only the row index. Every output value starts at 0
+// and adds k[i] * v for i = -r..r in that order, so results are
+// bit-identical to the per-tap border-clamped scan for any channel count
+// and for kernels wider than the image. That scan is kept as
+// gaussian_blur_ref/box_filter_ref in the test-support library
+// (tests/support/img_oracles.h), where tests bit-compare the two.
 
 #include "img/image.h"
 

@@ -1,6 +1,7 @@
 #include "img/morphology.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -9,99 +10,25 @@ namespace polarice::img {
 namespace {
 enum class Op { kMin, kMax };
 
-inline std::uint8_t combine(std::uint8_t a, std::uint8_t b, Op op) noexcept {
-  return op == Op::kMin ? std::min(a, b) : std::max(a, b);
-}
-
-/// Seed implementation: 1-D sliding min/max with an O(K) rescan per pixel.
-/// Border handling clamps sample indices to the line, which (min/max being
-/// idempotent in duplicates) equals truncating the window at the border.
-ImageU8 pass_ref(const ImageU8& src, int radius, bool horizontal, Op op) {
-  const int w = src.width(), h = src.height();
-  ImageU8 out(w, h, 1);
-  const int outer = horizontal ? h : w;
-  const int inner = horizontal ? w : h;
-  for (int o = 0; o < outer; ++o) {
-    for (int i = 0; i < inner; ++i) {
-      std::uint8_t best = op == Op::kMin ? 255 : 0;
-      for (int d = -radius; d <= radius; ++d) {
-        const int j = std::clamp(i + d, 0, inner - 1);
-        const std::uint8_t v =
-            horizontal ? src.at(j, o) : src.at(o, j);
-        best = combine(best, v, op);
-      }
-      if (horizontal) {
-        out.at(i, o) = best;
-      } else {
-        out.at(o, i) = best;
-      }
-    }
-  }
-  return out;
-}
-
-/// van Herk / Gil-Werman 1-D running min/max: pad the line with the
-/// identity element (255 for min, 0 for max — equivalent to the clamped/
-/// truncated border of the reference), then compute per-block prefix (R)
-/// and suffix (L) scans with block size K = 2*radius+1. The window
-/// [i, i+K-1] in padded coordinates spans at most one block boundary, so
-/// out[i] = combine(L[i], R[i+K-1]) — three passes over the line total,
-/// independent of K.
-ImageU8 pass_vhgw(const ImageU8& src, int radius, bool horizontal, Op op) {
-  const int w = src.width(), h = src.height();
-  ImageU8 out(w, h, 1);
-  const int outer = horizontal ? h : w;
-  const int inner = horizontal ? w : h;
-  const int k = 2 * radius + 1;
-  const int padded = inner + 2 * radius;
-  const std::uint8_t identity = op == Op::kMin ? 255 : 0;
-
-  std::vector<std::uint8_t> line(static_cast<std::size_t>(padded));
-  std::vector<std::uint8_t> prefix(static_cast<std::size_t>(padded));
-  std::vector<std::uint8_t> suffix(static_cast<std::size_t>(padded));
-  for (int o = 0; o < outer; ++o) {
-    std::fill(line.begin(), line.begin() + radius, identity);
-    std::fill(line.end() - radius, line.end(), identity);
-    if (horizontal) {
-      const std::uint8_t* row = src.data() + static_cast<std::size_t>(o) * w;
-      std::copy(row, row + w, line.begin() + radius);
-    } else {
-      for (int i = 0; i < inner; ++i) line[radius + i] = src.at(o, i);
-    }
-    for (int i = 0; i < padded; ++i) {
-      prefix[i] = (i % k == 0) ? line[i] : combine(prefix[i - 1], line[i], op);
-    }
-    for (int i = padded - 1; i >= 0; --i) {
-      suffix[i] = (i % k == k - 1 || i == padded - 1)
-                      ? line[i]
-                      : combine(suffix[i + 1], line[i], op);
-    }
-    if (horizontal) {
-      std::uint8_t* row = out.data() + static_cast<std::size_t>(o) * w;
-      for (int i = 0; i < inner; ++i) {
-        row[i] = combine(suffix[i], prefix[i + k - 1], op);
-      }
-    } else {
-      for (int i = 0; i < inner; ++i) {
-        out.at(o, i) = combine(suffix[i], prefix[i + k - 1], op);
-      }
-    }
-  }
-  return out;
-}
-
-// The fused dual pass runs the min scan and the dual max scan in one
-// traversal. Operators are template parameters so each scan compiles to a
-// branch-free min/max loop, and the per-block prefix/suffix recurrences are
-// written as explicit block loops (no per-element modulo) — same values as
-// pass_vhgw, bit for bit, just one shared sweep for the pair.
-
+// Operators are template parameters so every scan compiles to a branch-free
+// min/max loop.
 template <Op op>
-inline std::uint8_t combine_t(std::uint8_t a, std::uint8_t b) noexcept {
+inline std::uint8_t combine(std::uint8_t a, std::uint8_t b) noexcept {
   return op == Op::kMin ? std::min(a, b) : std::max(a, b);
 }
 
-/// One stream's 1-D scan over a staged padded line.
+/// The element that leaves `combine` unchanged: 255 for min, 0 for max.
+/// Padding a line with it is equivalent to the clamped/truncated border of
+/// the reference window scan.
+template <Op op>
+constexpr std::uint8_t kIdentity = op == Op::kMin ? 255 : 0;
+
+/// van Herk / Gil-Werman 1-D running min/max over one staged line padded by
+/// `radius` identity elements on each side: per-block prefix (R) and suffix
+/// (L) scans with block size K = 2*radius+1. The window [i, i+K-1] in
+/// padded coordinates spans at most one block boundary, so
+/// out[i] = combine(L[i], R[i+K-1]) — three passes over the line,
+/// independent of K.
 template <Op op>
 void scan_line(const std::uint8_t* line, std::uint8_t* prefix,
                std::uint8_t* suffix, std::uint8_t* out, int inner, int k,
@@ -110,75 +37,82 @@ void scan_line(const std::uint8_t* line, std::uint8_t* prefix,
     const int b1 = std::min(b0 + k, padded);
     prefix[b0] = line[b0];
     for (int i = b0 + 1; i < b1; ++i) {
-      prefix[i] = combine_t<op>(prefix[i - 1], line[i]);
+      prefix[i] = combine<op>(prefix[i - 1], line[i]);
     }
     suffix[b1 - 1] = line[b1 - 1];
     for (int i = b1 - 2; i >= b0; --i) {
-      suffix[i] = combine_t<op>(suffix[i + 1], line[i]);
+      suffix[i] = combine<op>(suffix[i + 1], line[i]);
     }
   }
   for (int i = 0; i < inner; ++i) {
-    out[i] = combine_t<op>(suffix[i], prefix[i + k - 1]);
+    out[i] = combine<op>(suffix[i], prefix[i + k - 1]);
   }
 }
 
-/// Fused dual van Herk / Gil-Werman 1-D pass: stream A (opA) and stream B
-/// (opB) traverse the outer lines together, so the envelope pair shares
-/// line staging and loop overhead instead of making two full-image passes.
-template <Op opA, Op opB>
-void pass_vhgw_dual(const ImageU8& srcA, ImageU8& outA, const ImageU8& srcB,
-                    ImageU8& outB, int radius, bool horizontal) {
-  const int w = srcA.width(), h = srcA.height();
-  const int outer = horizontal ? h : w;
-  const int inner = horizontal ? w : h;
+/// Horizontal pass: each row staged into a padded line and scanned.
+template <Op op>
+void pass_h(const ImageU8& src, ImageU8& out, int radius) {
+  const int w = src.width(), h = src.height();
   const int k = 2 * radius + 1;
-  const int padded = inner + 2 * radius;
-  constexpr std::uint8_t idA = opA == Op::kMin ? 255 : 0;
-  constexpr std::uint8_t idB = opB == Op::kMin ? 255 : 0;
+  const int padded = w + 2 * radius;
+  std::vector<std::uint8_t> storage(static_cast<std::size_t>(padded) * 3);
+  std::uint8_t* line = storage.data();
+  std::uint8_t* prefix = line + padded;
+  std::uint8_t* suffix = prefix + padded;
+  std::fill(line, line + radius, kIdentity<op>);
+  std::fill(line + padded - radius, line + padded, kIdentity<op>);
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* row = src.data() + static_cast<std::size_t>(y) * w;
+    std::copy(row, row + w, line + radius);
+    scan_line<op>(line, prefix, suffix,
+                  out.data() + static_cast<std::size_t>(y) * w, w, k, padded);
+  }
+}
 
-  std::vector<std::uint8_t> storage(static_cast<std::size_t>(padded) * 6 +
-                                    static_cast<std::size_t>(inner) * 2);
-  std::uint8_t* lineA = storage.data();
-  std::uint8_t* lineB = lineA + padded;
-  std::uint8_t* prefixA = lineB + padded;
-  std::uint8_t* prefixB = prefixA + padded;
-  std::uint8_t* suffixA = prefixB + padded;
-  std::uint8_t* suffixB = suffixA + padded;
-  std::uint8_t* rowA = suffixB + padded;  // vertical-pass staging
-  std::uint8_t* rowB = rowA + inner;
-  std::fill(lineA, lineA + radius, idA);
-  std::fill(lineA + padded - radius, lineA + padded, idA);
-  std::fill(lineB, lineB + radius, idB);
-  std::fill(lineB + padded - radius, lineB + padded, idB);
-
-  for (int o = 0; o < outer; ++o) {
-    if (horizontal) {
-      const std::uint8_t* ra = srcA.data() + static_cast<std::size_t>(o) * w;
-      const std::uint8_t* rb = srcB.data() + static_cast<std::size_t>(o) * w;
-      std::copy(ra, ra + w, lineA + radius);
-      std::copy(rb, rb + w, lineB + radius);
-      scan_line<opA>(lineA, prefixA, suffixA,
-                     outA.data() + static_cast<std::size_t>(o) * w, inner, k,
-                     padded);
-      scan_line<opB>(lineB, prefixB, suffixB,
-                     outB.data() + static_cast<std::size_t>(o) * w, inner, k,
-                     padded);
-    } else {
-      for (int i = 0; i < inner; ++i) {
-        lineA[radius + i] = srcA.at(o, i);
-        lineB[radius + i] = srcB.at(o, i);
-      }
-      scan_line<opA>(lineA, prefixA, suffixA, rowA, inner, k, padded);
-      scan_line<opB>(lineB, prefixB, suffixB, rowB, inner, k, padded);
-      for (int i = 0; i < inner; ++i) {
-        outA.at(o, i) = rowA[i];
-        outB.at(o, i) = rowB[i];
-      }
+/// Vertical pass: the same recurrences down the columns, evaluated a whole
+/// row at a time so every step is a min/max over contiguous x. Padded row p
+/// is source row p - radius, or an identity row in the border. Every block
+/// that holds an output row's window start is full (b0 < h implies
+/// b0 + K - 1 < h + 2*radius), so a block's K suffix rows plus one running
+/// prefix row of the next block produce its outputs: row b0 is the whole
+/// block (suffix row 0), row b0 + t combines suffix row t with the prefix
+/// of the next block's first t rows. Scratch is K + 2 rows, not planes.
+template <Op op>
+void pass_v(const ImageU8& src, ImageU8& out, int radius) {
+  const int w = src.width(), h = src.height();
+  const int k = 2 * radius + 1;
+  const std::size_t row = static_cast<std::size_t>(w);
+  std::vector<std::uint8_t> storage(row * static_cast<std::size_t>(k + 2));
+  std::uint8_t* identity = storage.data();
+  std::uint8_t* prefix = identity + row;
+  std::uint8_t* suffix = prefix + row;  // K rows: padded rows b0..b0+K-1
+  std::fill(identity, identity + row, kIdentity<op>);
+  const auto line = [&](int p) -> const std::uint8_t* {
+    return p < radius || p >= radius + h
+               ? identity
+               : src.data() + static_cast<std::size_t>(p - radius) * row;
+  };
+  const auto combine_rows = [w](std::uint8_t* dst, const std::uint8_t* a,
+                                const std::uint8_t* b) {
+    for (int x = 0; x < w; ++x) dst[x] = combine<op>(a[x], b[x]);
+  };
+  for (int b0 = 0; b0 < h; b0 += k) {
+    std::uint8_t* s_last = suffix + static_cast<std::size_t>(k - 1) * row;
+    std::copy(line(b0 + k - 1), line(b0 + k - 1) + row, s_last);
+    for (int t = k - 2; t >= 0; --t) {
+      combine_rows(suffix + static_cast<std::size_t>(t) * row,
+                   suffix + static_cast<std::size_t>(t + 1) * row,
+                   line(b0 + t));
+    }
+    std::copy(identity, identity + row, prefix);
+    const int rows = std::min(k, h - b0);
+    for (int t = 0; t < rows; ++t) {
+      if (t > 0) combine_rows(prefix, prefix, line(b0 + k + t - 1));
+      combine_rows(out.data() + static_cast<std::size_t>(b0 + t) * row,
+                   suffix + static_cast<std::size_t>(t) * row, prefix);
     }
   }
 }
-
-using Pass1D = ImageU8 (*)(const ImageU8&, int, bool, Op);
 
 void check_morph_input(const ImageU8& src, int ksize) {
   if (ksize < 1 || ksize % 2 == 0) {
@@ -189,28 +123,24 @@ void check_morph_input(const ImageU8& src, int ksize) {
   }
 }
 
-ImageU8 morph(const ImageU8& src, int ksize, Op op, Pass1D pass) {
+template <Op op>
+ImageU8 morph(const ImageU8& src, int ksize) {
   check_morph_input(src, ksize);
   const int radius = ksize / 2;
-  return pass(pass(src, radius, /*horizontal=*/true, op), radius,
-              /*horizontal=*/false, op);
+  ImageU8 stage(src.width(), src.height(), 1);
+  pass_h<op>(src, stage, radius);
+  ImageU8 out(src.width(), src.height(), 1);
+  pass_v<op>(stage, out, radius);
+  return out;
 }
 }  // namespace
 
 ImageU8 erode(const ImageU8& src, int ksize) {
-  return morph(src, ksize, Op::kMin, pass_vhgw);
+  return morph<Op::kMin>(src, ksize);
 }
 
 ImageU8 dilate(const ImageU8& src, int ksize) {
-  return morph(src, ksize, Op::kMax, pass_vhgw);
-}
-
-ImageU8 erode_ref(const ImageU8& src, int ksize) {
-  return morph(src, ksize, Op::kMin, pass_ref);
-}
-
-ImageU8 dilate_ref(const ImageU8& src, int ksize) {
-  return morph(src, ksize, Op::kMax, pass_ref);
+  return morph<Op::kMax>(src, ksize);
 }
 
 ImageU8 morph_open(const ImageU8& src, int ksize) {
@@ -229,16 +159,16 @@ MorphEnvelopes morph_envelopes(const ImageU8& src, int ksize) {
   ImageU8 a_full(w, h, 1), b_full(w, h, 1);
   MorphEnvelopes env{ImageU8(w, h, 1), ImageU8(w, h, 1)};
 
-  // Stage 1+2: erode(src) and dilate(src) together (H then V).
-  pass_vhgw_dual<Op::kMin, Op::kMax>(src, a_stage, src, b_stage, radius,
-                                     /*horizontal=*/true);
-  pass_vhgw_dual<Op::kMin, Op::kMax>(a_stage, a_full, b_stage, b_full, radius,
-                                     /*horizontal=*/false);
-  // Stage 3+4: dilate(eroded) -> open and erode(dilated) -> close together.
-  pass_vhgw_dual<Op::kMax, Op::kMin>(a_full, a_stage, b_full, b_stage, radius,
-                                     /*horizontal=*/true);
-  pass_vhgw_dual<Op::kMax, Op::kMin>(a_stage, env.open, b_stage, env.close,
-                                     radius, /*horizontal=*/false);
+  // erode(src) and dilate(src).
+  pass_h<Op::kMin>(src, a_stage, radius);
+  pass_h<Op::kMax>(src, b_stage, radius);
+  pass_v<Op::kMin>(a_stage, a_full, radius);
+  pass_v<Op::kMax>(b_stage, b_full, radius);
+  // dilate(eroded) -> open and erode(dilated) -> close.
+  pass_h<Op::kMax>(a_full, a_stage, radius);
+  pass_h<Op::kMin>(b_full, b_stage, radius);
+  pass_v<Op::kMax>(a_stage, env.open, radius);
+  pass_v<Op::kMin>(b_stage, env.close, radius);
   return env;
 }
 

@@ -6,8 +6,13 @@
 // erode/dilate run the van Herk / Gil-Werman algorithm: two 1-D passes
 // (rectangles are separable), each computing running min/max with ~3
 // comparisons per pixel regardless of kernel size — the cloud filter's
-// K=97 envelopes cost the same as K=3. The seed's O(K)-per-pixel window
-// scan is kept as erode_ref/dilate_ref; tests bit-compare the two.
+// K=97 envelopes cost the same as K=3. The horizontal pass scans each row;
+// the vertical pass runs the same block prefix/suffix recurrences a whole
+// row at a time (min/max over contiguous x, scratch of K + 2 rows), never
+// reading a column pixel by pixel. min/max are exact, so every path is
+// bit-identical to the O(K)-per-pixel window scan erode_ref/dilate_ref,
+// which lives in the test-support library (tests/support/img_oracles.h)
+// and is bit-compared against these in tests and benches.
 
 #include "img/image.h"
 
@@ -18,12 +23,6 @@ ImageU8 erode(const ImageU8& src, int ksize);
 
 /// Maximum filter over an odd ksize x ksize rectangle (single channel).
 ImageU8 dilate(const ImageU8& src, int ksize);
-
-/// Reference O(K)-per-pixel implementations (the seed's window scan).
-/// Bit-identical to erode/dilate; kept as the ground truth they are tested
-/// against.
-ImageU8 erode_ref(const ImageU8& src, int ksize);
-ImageU8 dilate_ref(const ImageU8& src, int ksize);
 
 /// Erosion then dilation (removes bright specks smaller than the kernel).
 ImageU8 morph_open(const ImageU8& src, int ksize);
@@ -38,11 +37,9 @@ struct MorphEnvelopes {
   ImageU8 close;
 };
 
-/// Computes morph_open and morph_close together in fused van Herk /
-/// Gil-Werman passes: each of the four 1-D stages runs the min scan and the
-/// dual max scan in one traversal (shared outer loop and line staging), so
-/// the pair costs four image sweeps instead of the eight the two separate
-/// calls make. Bit-identical to {morph_open(src, k), morph_close(src, k)}.
+/// Computes morph_open and morph_close together: the eight 1-D passes share
+/// four staging planes allocated once up front. Bit-identical to
+/// {morph_open(src, k), morph_close(src, k)}.
 MorphEnvelopes morph_envelopes(const ImageU8& src, int ksize);
 
 }  // namespace polarice::img

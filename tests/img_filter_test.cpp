@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "img/filter.h"
+#include "support/img_oracles.h"
 #include "util/rng.h"
 
 namespace pi = polarice::img;
@@ -62,6 +69,84 @@ TEST(GaussianBlur, FloatVariantPreservesMeanApproximately) {
   double out_sum = 0.0;
   for (const auto v : out) out_sum += v;
   EXPECT_NEAR(out_sum / im.size(), sum / im.size(), 0.02);
+}
+
+namespace {
+// Raw-byte equality: floats compare bit for bit (so -0 vs +0 or a NaN
+// payload would count as a difference), never within a tolerance.
+template <typename T>
+int raw_compare(const pi::Image<T>& a, const pi::Image<T>& b) {
+  if (!a.same_shape(b)) return -1;
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(T));
+}
+
+template <typename T>
+pi::Image<T> random_image(int w, int h, int nc, polarice::util::Rng& rng) {
+  pi::Image<T> im(w, h, nc);
+  for (auto& v : im) {
+    if constexpr (std::is_same_v<T, float>) {
+      v = static_cast<float>(rng.uniform(-8.0, 300.0));
+    } else {
+      v = static_cast<T>(rng.uniform_int(0, 255));
+    }
+  }
+  return im;
+}
+
+template <typename T>
+void expect_blur_matches_reference(int w, int h, int nc,
+                                   polarice::util::Rng& rng) {
+  const auto im = random_image<T>(w, h, nc, rng);
+  for (const int k : {1, 3, 5, 11, 31, 81}) {
+    for (const double sigma : {0.0, 0.37 * k + 0.5}) {
+      const std::string where = std::to_string(w) + "x" + std::to_string(h) +
+                                "x" + std::to_string(nc) + " k=" +
+                                std::to_string(k) +
+                                " sigma=" + std::to_string(sigma);
+      ASSERT_EQ(raw_compare(pi::gaussian_blur(im, k, sigma),
+                            pi::gaussian_blur_ref(im, k, sigma)),
+                0)
+          << where;
+    }
+  }
+}
+}  // namespace
+
+// The vectorised separable passes must reproduce the per-tap clamped scan
+// bit for bit: u8 and f32, 1 and 3 channels, kernels up to K=81 (wider than
+// every side of 7x5), a width that is not a multiple of any vector width.
+TEST(GaussianBlur, BitIdenticalToScalarReference) {
+  polarice::util::Rng rng(1414);
+  for (const auto& [w, h] :
+       {std::pair{1, 1}, std::pair{1, 17}, std::pair{17, 1}, std::pair{7, 5},
+        std::pair{130, 97}, std::pair{256, 256}}) {
+    for (const int nc : {1, 3}) {
+      expect_blur_matches_reference<std::uint8_t>(w, h, nc, rng);
+      expect_blur_matches_reference<float>(w, h, nc, rng);
+      const auto im = random_image<std::uint8_t>(w, h, nc, rng);
+      for (const int k : {1, 3, 31}) {
+        ASSERT_EQ(raw_compare(pi::box_filter(im, k), pi::box_filter_ref(im, k)),
+                  0)
+            << w << "x" << h << "x" << nc << " box k=" << k;
+      }
+    }
+  }
+}
+
+// A sigma whose square underflows (0/0 at the centre tap) or a NaN sigma
+// must still give a finite, normalized kernel: the u8 store assumes blur
+// outputs stay in [0, 255].
+TEST(GaussianKernel, DegenerateSigmaStaysFinite) {
+  for (const double sigma :
+       {1e-300, std::numeric_limits<double>::quiet_NaN()}) {
+    const auto kernel = pi::gaussian_kernel_1d(5, sigma);
+    for (const float v : kernel) EXPECT_TRUE(std::isfinite(v)) << sigma;
+    EXPECT_NEAR(std::accumulate(kernel.begin(), kernel.end(), 0.0f), 1.0f,
+                1e-5f);
+  }
+  polarice::util::Rng rng(5);
+  const auto im = random_image<std::uint8_t>(9, 7, 3, rng);
+  EXPECT_EQ(pi::gaussian_blur(im, 5, 1e-300), im);  // the identity kernel
 }
 
 TEST(BoxFilter, AveragesNeighbourhood) {

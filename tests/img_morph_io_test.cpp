@@ -12,6 +12,7 @@
 #include "img/io.h"
 #include "img/morphology.h"
 #include "img/ops.h"
+#include "support/img_oracles.h"
 #include "util/rng.h"
 
 namespace pi = polarice::img;
@@ -61,8 +62,12 @@ TEST(Morphology, OpenRemovesSpeckleClosesKeepsIt) {
 // including kernels larger than the image.
 TEST(Morphology, VanHerkMatchesReferenceScan) {
   polarice::util::Rng rng(2024);
-  for (const auto [w, h] : {std::pair{31, 17}, std::pair{64, 64},
-                            std::pair{5, 9}, std::pair{1, 13}}) {
+  // 200x97 .. 96x1 straddle the K=97 block boundaries of the row-wise
+  // vertical pass (heights of one, two and three-plus blocks, and 1).
+  for (const auto& [w, h] :
+       {std::pair{31, 17}, std::pair{64, 64}, std::pair{5, 9},
+        std::pair{1, 13}, std::pair{200, 97}, std::pair{64, 194},
+        std::pair{3, 300}, std::pair{96, 1}}) {
     pi::ImageU8 im(w, h, 1);
     for (auto& px : im) px = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     for (const int k : {1, 3, 7, 15, 97}) {
@@ -81,15 +86,21 @@ TEST(Morphology, VanHerkMatchesReferenceScan) {
 // K=97 production shape).
 TEST(Morphology, FusedEnvelopePairMatchesSeparateOpenClose) {
   polarice::util::Rng rng(4077);
-  for (const auto [w, h] : {std::pair{31, 17}, std::pair{64, 64},
-                            std::pair{5, 9}, std::pair{1, 13},
-                            std::pair{128, 96}}) {
+  for (const auto& [w, h] :
+       {std::pair{31, 17}, std::pair{64, 64}, std::pair{5, 9},
+        std::pair{1, 13}, std::pair{128, 96}, std::pair{200, 97},
+        std::pair{64, 194}, std::pair{3, 300}, std::pair{96, 1}}) {
     pi::ImageU8 im(w, h, 1);
     for (auto& px : im) px = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     for (const int k : {1, 3, 7, 15, 97}) {
       const auto env = pi::morph_envelopes(im, k);
       ASSERT_EQ(env.open, pi::morph_open(im, k)) << w << "x" << h << " k=" << k;
       ASSERT_EQ(env.close, pi::morph_close(im, k))
+          << w << "x" << h << " k=" << k;
+      // Both sides above share the row-wise passes; pin them to the scan.
+      ASSERT_EQ(env.open, pi::dilate_ref(pi::erode_ref(im, k), k))
+          << w << "x" << h << " k=" << k;
+      ASSERT_EQ(env.close, pi::erode_ref(pi::dilate_ref(im, k), k))
           << w << "x" << h << " k=" << k;
     }
   }
