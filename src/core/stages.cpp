@@ -53,15 +53,9 @@ AcquireStage::AcquireStage(s2::AcquisitionConfig config)
 void AcquireStage::run_scene(const par::ExecutionContext& ctx,
                              SceneSlot& slot) const {
   ctx.throw_if_cancelled("acquire");
-  const int cloudy_scenes =
-      static_cast<int>(config_.cloudy_scene_fraction *
-                           static_cast<double>(config_.num_scenes) +
-                       0.5);
-  s2::SceneConfig sc = config_.scene_template;
-  sc.width = sc.height = config_.scene_size;
-  sc.seed = config_.seed + slot.index;
-  sc.cloudy = static_cast<int>(slot.index) < cloudy_scenes;
-  slot.scene = s2::SceneGenerator(sc).generate();
+  slot.scene =
+      s2::SceneGenerator(config_.scene_config(static_cast<int>(slot.index)))
+          .generate();
 }
 
 void AcquireStage::run(const par::ExecutionContext& ctx,

@@ -19,20 +19,23 @@ void AcquisitionConfig::validate() const {
   }
 }
 
+SceneConfig AcquisitionConfig::scene_config(int i) const {
+  const int cloudy_scenes = static_cast<int>(
+      cloudy_scene_fraction * static_cast<double>(num_scenes) + 0.5);
+  SceneConfig sc = scene_template;
+  sc.width = scene_size;
+  sc.height = scene_size;
+  sc.seed = seed + static_cast<std::uint64_t>(i);
+  sc.cloudy = i < cloudy_scenes;
+  return sc;
+}
+
 std::vector<Tile> acquire_tiles(const AcquisitionConfig& config) {
   config.validate();
   std::vector<Tile> tiles;
   tiles.reserve(static_cast<std::size_t>(config.total_tiles()));
-  const int cloudy_scenes = static_cast<int>(
-      config.cloudy_scene_fraction * static_cast<double>(config.num_scenes) +
-      0.5);
   for (int i = 0; i < config.num_scenes; ++i) {
-    SceneConfig sc = config.scene_template;
-    sc.width = config.scene_size;
-    sc.height = config.scene_size;
-    sc.seed = config.seed + static_cast<std::uint64_t>(i);
-    sc.cloudy = i < cloudy_scenes;
-    const Scene scene = SceneGenerator(sc).generate();
+    const Scene scene = SceneGenerator(config.scene_config(i)).generate();
     auto scene_tiles = split_scene(scene, config.tile_size, i);
     for (auto& t : scene_tiles) tiles.push_back(std::move(t));
   }

@@ -27,11 +27,15 @@ struct AcquisitionConfig {
   [[nodiscard]] int total_tiles() const noexcept {
     return num_scenes * tiles_per_scene();
   }
+
+  /// Scene i's generator settings: the template at scene_size, seed
+  /// `seed + i`, with atmosphere iff i < round(cloudy_scene_fraction *
+  /// num_scenes).
+  [[nodiscard]] SceneConfig scene_config(int i) const;
 };
 
-/// Generates all scenes and returns the concatenated tile list. Scene i uses
-/// seed `config.seed + i`; the first `cloudy_scene_fraction` of scenes carry
-/// atmosphere. Deterministic for a fixed config.
+/// Generates all scenes (scene i from `config.scene_config(i)`) and returns
+/// the concatenated tile list. Deterministic for a fixed config.
 std::vector<Tile> acquire_tiles(const AcquisitionConfig& config);
 
 }  // namespace polarice::s2

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "s2/noise.h"
 
@@ -22,18 +25,29 @@ img::ImageU8 simulate_manual_labels(const img::ImageU8& truth,
   PerlinNoise dx_noise(config.seed * 2654435761ULL + 1);
   PerlinNoise dy_noise(config.seed * 2654435761ULL + 2);
   const int w = truth.width(), h = truth.height();
+  const auto width = static_cast<std::size_t>(w);
   img::ImageU8 out(w, h, 1);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const double dx = config.displacement_px *
-                        dx_noise.fbm(x / config.wobble_scale,
-                                     y / config.wobble_scale, 2);
-      const double dy = config.displacement_px *
-                        dy_noise.fbm(x / config.wobble_scale,
-                                     y / config.wobble_scale, 2);
-      const int sx = std::clamp(static_cast<int>(std::lround(x + dx)), 0, w - 1);
-      const int sy = std::clamp(static_cast<int>(std::lround(y + dy)), 0, h - 1);
-      out.at(x, y) = truth.at(sx, sy);
+  // Both displacement fields are evaluated a band of rows at a time.
+  constexpr int kBandRows = 32;
+  const std::size_t band =
+      static_cast<std::size_t>(std::min(h, kBandRows)) * width;
+  std::vector<double> dx_field(band), dy_field(band);
+  for (int y0 = 0; y0 < h; y0 += kBandRows) {
+    const int rows = std::min(kBandRows, h - y0);
+    dx_noise.fbm_field(0, y0, w, rows, config.wobble_scale, 2, dx_field.data());
+    dy_noise.fbm_field(0, y0, w, rows, config.wobble_scale, 2, dy_field.data());
+    for (int y = y0; y < y0 + rows; ++y) {
+      const std::size_t off = static_cast<std::size_t>(y - y0) * width;
+      std::uint8_t* orow = out.data() + static_cast<std::size_t>(y) * width;
+      for (int x = 0; x < w; ++x) {
+        const double dx = config.displacement_px * dx_field[off + x];
+        const double dy = config.displacement_px * dy_field[off + x];
+        const int sx =
+            std::clamp(static_cast<int>(std::lround(x + dx)), 0, w - 1);
+        const int sy =
+            std::clamp(static_cast<int>(std::lround(y + dy)), 0, h - 1);
+        orow[x] = truth.at(sx, sy);
+      }
     }
   }
   return out;

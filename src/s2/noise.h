@@ -1,6 +1,20 @@
 #pragma once
 // 2-D gradient (Perlin) noise and fractional Brownian motion — the terrain
 // engine behind the synthetic Sentinel-2 scenes. Deterministic per seed.
+//
+// The only entry point is fbm_field(), which evaluates a whole rectangle of
+// pixels row by row. Its contract is bit-identity with the classic point
+// formulation (one `at(x, y)` per octave with an 8-way switch over the
+// gradient directions, summed with amplitude 1/2^o): the scalar oracle in
+// tests/support/noise_oracle.h is that formulation, and
+// PerlinNoise.FieldMatchesPointOracle compares raw bytes.
+//
+// The field replaces the switch with coefficient tables,
+// kGradX[h]*dx + kGradY[h]*dy. Both coefficients are 0 or ±1, so every
+// product is exact and each corner value is the same correctly rounded sum
+// (fused or not), except that a zero coefficient can turn an exact +0 into
+// -0. That sign never reaches the output: the octave accumulator starts at
+// +0.0, and +0 + -0 = +0.
 
 #include <array>
 #include <cstdint>
@@ -12,37 +26,18 @@ class PerlinNoise {
  public:
   explicit PerlinNoise(std::uint64_t seed);
 
-  /// Noise value at (x, y), approximately in [-1, 1].
-  [[nodiscard]] double at(double x, double y) const noexcept;
-
-  /// Fractional Brownian motion: `octaves` noise layers, each with
-  /// `lacunarity`x the frequency and `gain`x the amplitude of the previous.
-  /// Result roughly in [-1, 1].
-  [[nodiscard]] double fbm(double x, double y, int octaves,
-                           double lacunarity = 2.0,
-                           double gain = 0.5) const noexcept;
+  /// Fractional Brownian motion over a w x h block of pixels:
+  ///   out[j*w + i] = fbm((x0 + i) / scale, (y0 + j) / scale)
+  /// where fbm sums `octaves` noise layers, each with twice the frequency
+  /// and half the amplitude of the previous, normalized to roughly [-1, 1]
+  /// (0 when octaves <= 0). `out` holds w*h values, row-major. The float
+  /// form is the double result cast once.
+  void fbm_field(int x0, int y0, int w, int h, double scale, int octaves,
+                 double* out) const;
+  void fbm_field(int x0, int y0, int w, int h, double scale, int octaves,
+                 float* out) const;
 
  private:
-  [[nodiscard]] int hash(int x, int y) const noexcept {
-    return perm_[(perm_[x & 255] + y) & 255];
-  }
-  static double fade(double t) noexcept {
-    return t * t * t * (t * (t * 6 - 15) + 10);
-  }
-  static double grad(int h, double dx, double dy) noexcept {
-    // 8 gradient directions.
-    switch (h & 7) {
-      case 0: return dx + dy;
-      case 1: return dx - dy;
-      case 2: return -dx + dy;
-      case 3: return -dx - dy;
-      case 4: return dx;
-      case 5: return -dx;
-      case 6: return dy;
-      default: return -dy;
-    }
-  }
-
   std::array<std::uint8_t, 256> perm_;
 };
 

@@ -1,7 +1,9 @@
 #include "s2/scene.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 #include "s2/noise.h"
@@ -53,6 +55,11 @@ SceneGenerator::SceneGenerator(SceneConfig config) : config_(config) {
 }
 
 namespace {
+
+// Rows per band of the shadow field, which the atmosphere pass evaluates a
+// band at a time instead of holding a whole plane of it.
+constexpr int kBandRows = 32;
+
 /// Maps a quantile u in [0,1) within a class band to a V value. The cubic
 /// easing concentrates probability mass near the band center, giving each
 /// class a distinct histogram MODE — the property of real sea-ice color
@@ -64,11 +71,35 @@ double band_value(double u, int lo, int hi) {
   const double eased = 0.5 + 4.0 * centered * centered * centered;
   return lo + eased * (hi - lo);
 }
+
+/// For each q in `qs` (ascending), the element a sorted copy of `values`
+/// holds at index floor(clamp(q, 0, 1) * (n - 1)). Selects instead of
+/// sorting, so the values are identical; reorders `values`.
+template <std::size_t N>
+std::array<float, N> quantiles(std::vector<float>& values,
+                               const std::array<double, N>& qs) {
+  std::array<float, N> out{};
+  auto lo = values.begin();
+  for (std::size_t k = 0; k < N; ++k) {
+    const auto rank = static_cast<std::size_t>(
+        std::clamp(qs[k], 0.0, 1.0) *
+        static_cast<double>(values.size() - 1));
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank);
+    // Everything before `lo` is already <= everything from `lo` on.
+    std::nth_element(lo, nth, values.end());
+    out[k] = *nth;
+    lo = nth;
+  }
+  return out;
+}
+
 }  // namespace
 
 Scene SceneGenerator::generate() const {
   const auto& cfg = config_;
   const int w = cfg.width, h = cfg.height;
+  const auto width = static_cast<std::size_t>(w);
+  const std::size_t n = width * static_cast<std::size_t>(h);
   PerlinNoise ice_noise(cfg.seed * 7919 + 17);
   PerlinNoise cloud_noise(cfg.seed * 104729 + 71);
   util::Rng pixel_rng(cfg.seed * 31337 + 5);
@@ -81,34 +112,27 @@ Scene SceneGenerator::generate() const {
   scene.cloud_opacity = img::ImageF32(w, h, 1);
   scene.shadow_strength = img::ImageF32(w, h, 1);
 
-  // Pass 1: raw thickness field, collected for quantile calibration so the
-  // configured class fractions hold regardless of the noise realization.
-  std::vector<float> thickness(static_cast<std::size_t>(w) * h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const double t =
-          ice_noise.fbm(x / cfg.ice_feature_scale, y / cfg.ice_feature_scale,
-                        cfg.ice_octaves);
-      thickness[static_cast<std::size_t>(y) * w + x] =
-          static_cast<float>(t);
-    }
-  }
-  std::vector<float> sorted = thickness;
-  std::sort(sorted.begin(), sorted.end());
-  const auto quantile = [&](double q) {
-    const auto idx = static_cast<std::size_t>(
-        std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
-  };
-  const float water_cut = quantile(cfg.water_fraction);
-  const float thin_cut = quantile(cfg.water_fraction + cfg.thin_fraction);
-  const float t_min = sorted.front();
-  const float t_max = sorted.back();
+  // Pass 1: raw thickness field, quantile-calibrated so the configured
+  // class fractions hold regardless of the noise realization. `field`
+  // later holds the cloud field; `order` is selection scratch for both.
+  std::vector<float> field(n);
+  ice_noise.fbm_field(0, 0, w, h, cfg.ice_feature_scale, cfg.ice_octaves,
+                      field.data());
+  std::vector<float> order = field;
+  const auto [water_cut, thin_cut] = quantiles<2>(
+      order, {cfg.water_fraction, cfg.water_fraction + cfg.thin_fraction});
+  const auto [min_it, max_it] = std::minmax_element(field.begin(), field.end());
+  const float t_min = *min_it;
+  const float t_max = *max_it;
 
   // Pass 2: render classes and clean RGB.
   for (int y = 0; y < h; ++y) {
+    const std::size_t off = static_cast<std::size_t>(y) * width;
+    const float* trow = field.data() + off;
+    std::uint8_t* lrow = scene.labels.data() + off;
+    std::uint8_t* crow = scene.rgb_clean.data() + off * 3;
     for (int x = 0; x < w; ++x) {
-      const float t = thickness[static_cast<std::size_t>(y) * w + x];
+      const float t = trow[x];
       int cls;
       double v;
       if (t < water_cut) {
@@ -146,43 +170,28 @@ Scene SceneGenerator::generate() const {
         case SeaIceClass::kThinIce: tr = 0.78; tg = 0.88; tb = 1.0; break;
         default: tr = 0.97; tg = 0.99; tb = 1.0; break;
       }
-      scene.labels.at(x, y) = static_cast<std::uint8_t>(cls);
-      scene.rgb_clean.at(x, y, 0) =
-          static_cast<std::uint8_t>(std::lround(v * tr));
-      scene.rgb_clean.at(x, y, 1) =
-          static_cast<std::uint8_t>(std::lround(v * tg));
-      scene.rgb_clean.at(x, y, 2) =
-          static_cast<std::uint8_t>(std::lround(v * tb));
+      lrow[x] = static_cast<std::uint8_t>(cls);
+      crow[3 * x + 0] = static_cast<std::uint8_t>(std::lround(v * tr));
+      crow[3 * x + 1] = static_cast<std::uint8_t>(std::lround(v * tg));
+      crow[3 * x + 2] = static_cast<std::uint8_t>(std::lround(v * tb));
     }
   }
 
-  // Pass 3: atmosphere. Thin clouds brighten additively toward white;
-  // shadows (the same field, offset) darken multiplicatively. The cloud
-  // field's cut level is quantile-calibrated so the configured coverage
-  // fraction holds for every noise realization.
-  std::vector<float> cloud_field;
-  float cloud_cut = 0.0f, cloud_peak = 1.0f;
-  if (cfg.cloudy) {
-    cloud_field.resize(static_cast<std::size_t>(w) * h);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        cloud_field[static_cast<std::size_t>(y) * w + x] =
-            static_cast<float>(cloud_noise.fbm(x / cfg.cloud_feature_scale,
-                                               y / cfg.cloud_feature_scale, 4));
-      }
-    }
-    std::vector<float> cloud_sorted = cloud_field;
-    std::sort(cloud_sorted.begin(), cloud_sorted.end());
-    const auto cq = [&](double q) {
-      const auto idx = static_cast<std::size_t>(
-          std::clamp(q, 0.0, 1.0) *
-          static_cast<double>(cloud_sorted.size() - 1));
-      return cloud_sorted[idx];
-    };
-    cloud_cut = cq(1.0 - cfg.cloud_coverage);
-    cloud_peak = cloud_sorted.back();
-    if (cloud_peak <= cloud_cut) cloud_peak = cloud_cut + 1e-4f;
+  // Pass 3: atmosphere. A clean scene has alpha = beta = 0 everywhere, where
+  // the blend below is exactly the clean value: copy it, and leave both
+  // planes at their zero initialization.
+  if (!cfg.cloudy) {
+    std::copy(scene.rgb_clean.begin(), scene.rgb_clean.end(),
+              scene.rgb.begin());
+    return scene;
   }
+  // Thin clouds brighten additively toward white; shadows (the same field,
+  // offset) darken multiplicatively. The cloud field's cut level is
+  // quantile-calibrated so the configured coverage fraction holds for every
+  // noise realization.
+  cloud_noise.fbm_field(0, 0, w, h, cfg.cloud_feature_scale, 4, field.data());
+  std::copy(field.begin(), field.end(), order.begin());
+  const float cloud_cut = quantiles<1>(order, {1.0 - cfg.cloud_coverage})[0];
   // Fixed transition width (not per-scene peak) so opacity ramps at the
   // field's intrinsic smoothness instead of being sharpened by rescaling.
   const auto atmosphere = [&](double field_value) {
@@ -190,26 +199,33 @@ Scene SceneGenerator::generate() const {
                           std::max(1e-9, cfg.cloud_transition),
                       0.0, 1.0);
   };
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      double alpha = 0.0, beta = 0.0;
-      if (cfg.cloudy) {
-        alpha = atmosphere(cloud_field[static_cast<std::size_t>(y) * w + x]) *
-                cfg.cloud_max_opacity;
-        const double cs =
-            cloud_noise.fbm((x + cfg.shadow_offset_x) / cfg.cloud_feature_scale,
-                            (y + cfg.shadow_offset_y) / cfg.cloud_feature_scale,
-                            4);
-        beta = atmosphere(cs) * cfg.shadow_strength;
-      }
-      scene.cloud_opacity.at(x, y) = static_cast<float>(alpha);
-      scene.shadow_strength.at(x, y) = static_cast<float>(beta);
-      for (int ch = 0; ch < 3; ++ch) {
-        const double clean = scene.rgb_clean.at(x, y, ch);
-        const double hazed = clean * (1.0 - alpha) + 255.0 * alpha;
-        const double shaded = hazed * (1.0 - beta);
-        scene.rgb.at(x, y, ch) = static_cast<std::uint8_t>(
-            std::clamp(std::lround(shaded), 0L, 255L));
+  std::vector<double> shadow(static_cast<std::size_t>(std::min(h, kBandRows)) *
+                             width);
+  for (int y0 = 0; y0 < h; y0 += kBandRows) {
+    const int rows = std::min(kBandRows, h - y0);
+    cloud_noise.fbm_field(cfg.shadow_offset_x, y0 + cfg.shadow_offset_y, w,
+                          rows, cfg.cloud_feature_scale, 4, shadow.data());
+    for (int y = y0; y < y0 + rows; ++y) {
+      const std::size_t off = static_cast<std::size_t>(y) * width;
+      const float* crow = field.data() + off;
+      const double* srow =
+          shadow.data() + static_cast<std::size_t>(y - y0) * width;
+      float* alpha_row = scene.cloud_opacity.data() + off;
+      float* beta_row = scene.shadow_strength.data() + off;
+      const std::uint8_t* clean_row = scene.rgb_clean.data() + off * 3;
+      std::uint8_t* rgb_row = scene.rgb.data() + off * 3;
+      for (int x = 0; x < w; ++x) {
+        const double alpha = atmosphere(crow[x]) * cfg.cloud_max_opacity;
+        const double beta = atmosphere(srow[x]) * cfg.shadow_strength;
+        alpha_row[x] = static_cast<float>(alpha);
+        beta_row[x] = static_cast<float>(beta);
+        for (int ch = 0; ch < 3; ++ch) {
+          const double clean = clean_row[3 * x + ch];
+          const double hazed = clean * (1.0 - alpha) + 255.0 * alpha;
+          const double shaded = hazed * (1.0 - beta);
+          rgb_row[3 * x + ch] = static_cast<std::uint8_t>(
+              std::clamp(std::lround(shaded), 0L, 255L));
+        }
       }
     }
   }

@@ -17,6 +17,16 @@
 // Ground-truth labels come from the thickness field before any atmosphere is
 // applied, and per-pixel cloud opacity is kept as metadata so tiles can be
 // bucketed by cloud cover (Table V's >10% / <10% split).
+//
+// The fields come from PerlinNoise::fbm_field (s2/noise.h), which matches
+// the point-wise Perlin formulation bit for bit; the class cuts and the
+// cloud cut are order statistics found by selection, equal to indexing a
+// sorted copy. Same config -> same bytes. The u8 planes (rgb, rgb_clean,
+// labels) are moreover identical between the native (-march=native) and
+// portable builds. The float planes (cloud_opacity, shadow_strength) may
+// differ between those builds in a last bit, because GCC contracts some
+// multiply-adds into FMAs in the native one (seen on one shadow pixel of a
+// 1024^2 scene, ~1e-16 before the cast); tests do not pin them.
 
 #include <cstdint>
 #include <vector>
@@ -75,8 +85,8 @@ struct Scene {
   img::ImageU8 rgb;          // observed (haze + shadows if cloudy)
   img::ImageU8 rgb_clean;    // atmosphere-free reference
   img::ImageU8 labels;       // single channel, class ids (0/1/2)
-  img::ImageF32 cloud_opacity;  // alpha in [0,1]
-  img::ImageF32 shadow_strength;  // beta in [0,1]
+  img::ImageF32 cloud_opacity;  // alpha in [0,1]; build-dependent last bit
+  img::ImageF32 shadow_strength;  // beta in [0,1]; build-dependent last bit
   std::uint64_t seed = 0;
 
   /// Fraction of pixels whose cloud opacity or shadow strength exceeds
